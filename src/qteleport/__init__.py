@@ -49,7 +49,6 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     kron,
-    kron_all,
     partial_trace,
     psd_sqrt,
 )

@@ -9,6 +9,10 @@ the receiver's, applied as
 subject to the trace-preservation condition
 sum_i (A_i^dagger A_i) (x) (B_i^dagger B_i) = I.
 
+A protocol computes its joint operators A_i (x) B_i and its completeness
+residual once, when it is built; applying or checking it reuses both.
+`apply_kraus` is the one place the sum over Kraus operators is taken.
+
 Register convention used throughout the package: (1, A, B, 2, M, E) with
 particle 1 the input, A held by the sender, B and 2 by the receiver, M a
 purifying ancilla and E a dilating environment. Resource channels live on
@@ -23,29 +27,44 @@ import numpy as np
 from . import jsonio
 from .errors import DimensionError, IncompleteProtocolError
 from .linalg import dagger, eig_hermitian, frobenius, kron, partial_trace
-from .states import check_density_matrix, check_pure_state, fix_phase
+from .states import check_density_matrix, check_pure_state, fix_phase, random_unitary
 
 COMPLETENESS_TOL = 1e-9
 
 
+def _frozen(m) -> np.ndarray:
+    """Read-only complex128 copy."""
+    m = np.array(m, dtype=np.complex128)
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class LocalKrausProtocol:
-    """Ordered Kraus pairs (A_i, B_i) with the factor dimensions pinned."""
+    """Ordered Kraus pairs (A_i, B_i) with the factor dimensions pinned.
+
+    The pairs are stored as read-only copies. ``kraus`` stacks the joint
+    operators A_i (x) B_i into one read-only array and
+    ``completeness_residual`` is the Frobenius distance of
+    sum_i (A_i^dagger A_i) (x) (B_i^dagger B_i) from I; both are computed
+    here, once.
+    """
 
     pairs: tuple
     alice_dim: int
     bob_dim: int
+    kraus: np.ndarray = field(init=False, compare=False, repr=False)
+    completeness_residual: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pairs = tuple(
-            (np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-            for a, b in self.pairs
-        )
+        pairs = tuple((_frozen(a), _frozen(b)) for a, b in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise DimensionError("protocol needs at least one Kraus pair")
         a0, b0 = pairs[0]
         for a, b in pairs:
+            if a.ndim != 2 or b.ndim != 2:
+                raise DimensionError("Kraus pair factors must be matrices")
             if a.shape[1] != self.alice_dim:
                 raise DimensionError(
                     f"sender operator has {a.shape[1]} columns, expected {self.alice_dim}"
@@ -56,30 +75,53 @@ class LocalKrausProtocol:
                 )
             if a.shape != a0.shape or b.shape != b0.shape:
                 raise DimensionError("all Kraus pairs must share the same shapes")
+        object.__setattr__(self, "kraus", _frozen(np.stack([kron(a, b) for a, b in pairs])))
+        total = np.zeros((self.alice_dim * self.bob_dim,) * 2, dtype=np.complex128)
+        for a, b in pairs:
+            total += kron(dagger(a) @ a, dagger(b) @ b)
+        object.__setattr__(
+            self, "completeness_residual", frobenius(total - np.eye(total.shape[0]))
+        )
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def kraus_operators(self) -> list:
-        """The joint operators A_i (x) B_i."""
-        return [kron(a, b) for a, b in self.pairs]
-
 
 def check_completeness(p: LocalKrausProtocol) -> float:
     """Frobenius residual of sum_i (A_i^t A_i) (x) (B_i^t B_i) against I."""
-    total = np.zeros((p.alice_dim * p.bob_dim,) * 2, dtype=np.complex128)
-    for a, b in p.pairs:
-        total += kron(dagger(a) @ a, dagger(b) @ b)
-    return frobenius(total - np.eye(total.shape[0]))
+    return p.completeness_residual
 
 
-def require_complete(p: LocalKrausProtocol, tol: float = COMPLETENESS_TOL) -> None:
-    residual = check_completeness(p)
-    if residual > tol:
+def require_complete(p: LocalKrausProtocol) -> None:
+    residual = p.completeness_residual
+    if residual > COMPLETENESS_TOL:
         raise IncompleteProtocolError(
-            f"Kraus pairs do not resolve the identity (residual {residual:.3e} > {tol:.0e})",
+            f"Kraus pairs do not resolve the identity "
+            f"(residual {residual:.3e} > {COMPLETENESS_TOL:.0e})",
             residual=residual,
         )
+
+
+def require_teleport_protocol(p: LocalKrausProtocol) -> None:
+    """Reject protocols that are incomplete or do not act on (1, A) and (B, 2)."""
+    if p.alice_dim != 4 or p.bob_dim != 4:
+        raise DimensionError(
+            f"teleportation protocols act on (1,A) and (B,2); got factor dims "
+            f"{p.alice_dim} and {p.bob_dim}, expected 4 and 4"
+        )
+    require_complete(p)
+
+
+def apply_kraus(p: LocalKrausProtocol, rho) -> np.ndarray:
+    """Kraus action sum_i K_i rho K_i^dagger with K_i = A_i (x) B_i.
+
+    Unchecked: callers validate ``rho`` and the protocol first.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    out = np.zeros_like(rho)
+    for k in p.kraus:
+        out += k @ rho @ dagger(k)
+    return out
 
 
 def entangled_pair_ket(theta: float) -> np.ndarray:
@@ -120,17 +162,8 @@ def apply_protocol(input_rho, channel_rho, p: LocalKrausProtocol) -> np.ndarray:
     """
     rho_in = check_density_matrix(input_rho, dim=2)
     rho_ch = check_density_matrix(channel_rho, dim=8)
-    if p.alice_dim != 4 or p.bob_dim != 4:
-        raise DimensionError(
-            f"teleportation protocols act on (1,A) and (B,2); got factor dims "
-            f"{p.alice_dim} and {p.bob_dim}, expected 4 and 4"
-        )
-    require_complete(p)
-    joint = kron(rho_in, rho_ch)
-    out = np.zeros_like(joint)
-    for k in p.kraus_operators():
-        out += k @ joint @ dagger(k)
-    return out
+    require_teleport_protocol(p)
+    return apply_kraus(p, kron(rho_in, rho_ch))
 
 
 def teleported_output(joint) -> np.ndarray:
@@ -205,13 +238,6 @@ class Dilation:
         return partial_trace(lifted, [d, self.env_dim], keep={0})
 
 
-def _next_power_of_two(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def dilate(p: LocalKrausProtocol) -> Dilation:
     """Build the environment unitary whose |0>_E slice carries the protocol.
 
@@ -222,22 +248,19 @@ def dilate(p: LocalKrausProtocol) -> Dilation:
     rest deterministically.
     """
     require_complete(p)
-    kraus = p.kraus_operators()
-    d = p.alice_dim * p.bob_dim
-    if kraus[0].shape != (d, d):
+    kraus = p.kraus
+    n, d = len(kraus), p.alice_dim * p.bob_dim
+    if kraus.shape[1:] != (d, d):
         raise DimensionError("dilation needs square joint Kraus operators")
-    n = len(kraus)
-    env = _next_power_of_two(n)
+    env = 1 << (n - 1).bit_length()  # smallest power of two >= n
     total = d * env
 
+    # Column x*env carries |x> (x) |0>_E: entry r*env + i is K_i[r, x], the
+    # i-th Kraus image tagged with the environment flag |i>.
+    images = np.zeros((d, env, d), dtype=np.complex128)
+    images[:, :n, :] = kraus.transpose(1, 0, 2)
     u = np.zeros((total, total), dtype=np.complex128)
-    # Column for |x> (x) |0>_E sits at index x*env; its entries stack the
-    # i-th Kraus image into the environment flag |i>.
-    for x in range(d):
-        col = np.zeros(total, dtype=np.complex128)
-        for i, k in enumerate(kraus):
-            col[i::env] = k[:, x]
-        u[:, x * env] = col
+    u[:, ::env] = images.reshape(total, d)
 
     filled = [x * env for x in range(d)]
     basis = u[:, filled]  # orthonormal by completeness
@@ -279,27 +302,13 @@ def random_local_protocol(
         return [isometry[i * dim : (i + 1) * dim, :] for i in range(n_pairs)]
 
     def unitaries(dim):
-        out = []
-        for _ in range(n_pairs):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            q, r = np.linalg.qr(g)
-            out.append(q * (np.diag(r) / np.abs(np.diag(r))))
-        return out
+        return [random_unitary(dim, rng) for _ in range(n_pairs)]
 
     if rng.random() < 0.5:
         pairs = tuple(zip(kraus_set(alice_dim), unitaries(bob_dim)))
     else:
         pairs = tuple(zip(unitaries(alice_dim), kraus_set(bob_dim)))
     return LocalKrausProtocol(pairs=pairs, alice_dim=alice_dim, bob_dim=bob_dim)
-
-
-def apply_kraus(p: LocalKrausProtocol, rho) -> np.ndarray:
-    """Plain Kraus action sum_i K_i rho K_i^dagger on the joint factor."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    out = np.zeros_like(rho)
-    for k in p.kraus_operators():
-        out += k @ rho @ dagger(k)
-    return out
 
 
 def protocol_to_json(p: LocalKrausProtocol, indent: int = 2) -> str:
@@ -316,11 +325,17 @@ def protocol_to_json(p: LocalKrausProtocol, indent: int = 2) -> str:
 
 
 def protocol_from_json(text: str) -> LocalKrausProtocol:
+    """Parse `protocol_to_json` output; a missing field raises ValueError naming it."""
     doc = json.loads(text)
+
+    def get(obj, key, where):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"protocol JSON: {where} has no {key!r} field")
+        return obj[key]
+
     pairs = tuple(
-        (jsonio.matrix_from_pairs(entry["a"]), jsonio.matrix_from_pairs(entry["b"]))
-        for entry in doc["pairs"]
+        tuple(jsonio.matrix_from_pairs(get(entry, key, f"pair {i}")) for key in "ab")
+        for i, entry in enumerate(get(doc, "pairs", "document"))
     )
-    return LocalKrausProtocol(
-        pairs=pairs, alice_dim=int(doc["alice_dim"]), bob_dim=int(doc["bob_dim"])
-    )
+    dims = {key: int(get(doc, key, "document")) for key in ("alice_dim", "bob_dim")}
+    return LocalKrausProtocol(pairs=pairs, **dims)

@@ -26,9 +26,8 @@ import numpy as np
 from . import jsonio
 from .channels import (
     angle_channel,
-    apply_kraus,
     check_completeness,
-    dilate,
+    entangled_pair_ket,
     protocol_from_json,
     resource_channel,
 )
@@ -46,10 +45,8 @@ from .states import (
     density_from_bloch,
     extreme_decomposition,
     pure_density,
-    random_density_matrix,
-    state_fidelity,
 )
-from .suites import run_suite
+from .suites import dilation_residuals, run_suite
 from .teleport import TOL_EXACT, bbcjpw_protocol, classical_commuting_protocol, run_teleport
 from .optimize import sweep_channel_angle, sweep_to_csv
 
@@ -66,6 +63,8 @@ def parse_theta(token: str) -> float:
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
+        if den == 0.0:
+            raise ValueError(f"angle {token!r} divides by zero")
         return num * np.pi / den
     return float(token)
 
@@ -194,10 +193,7 @@ def cmd_teleport(args) -> int:
 
 def cmd_entangle(args) -> int:
     if args.angle is not None:
-        theta = parse_theta(args.angle)
-        ket = np.zeros(4, dtype=complex)
-        ket[0], ket[3] = np.cos(theta), np.sin(theta)
-        rho = pure_density(ket)
+        rho = pure_density(entangled_pair_ket(parse_theta(args.angle)))
     elif args.state is not None:
         rho = parse_state(args.state, dim=4)
     else:
@@ -275,15 +271,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_dilate(args) -> int:
     protocol = parse_protocol(args.protocol, args.basis)
-    dil = dilate(protocol)
-    eye = np.eye(dil.u.shape[0])
-    unitarity = float(np.linalg.norm(dil.u.conj().T @ dil.u - eye, "fro"))
-    d = protocol.alice_dim * protocol.bob_dim
-    worst = 0.0
     rng = np.random.default_rng(args.seed)
-    for _ in range(args.probes):
-        rho = random_density_matrix(d, rng)
-        worst = max(worst, frobenius(dil.apply(rho) - apply_kraus(protocol, rho)))
+    dil, unitarity, worst = dilation_residuals(protocol, args.probes, rng)
     doc = {
         "n_pairs": len(protocol),
         "env_dim": dil.env_dim,
@@ -302,7 +291,17 @@ def cmd_dilate(args) -> int:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(ENV_SEED, "0"))
+    raw = os.environ.get(ENV_SEED, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_SEED}={raw!r} is not an integer seed") from None
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dilate", help="dilation facts for a protocol")
     p.add_argument("--protocol", default="bbcjpw", help="bbcjpw, classical, or @file")
     p.add_argument("--basis", default=None, help="measurement basis for the classical protocol")
-    p.add_argument("--probes", type=int, default=10)
+    p.add_argument("--probes", type=_non_negative_int, default=10)
     add_common(p)
     p.set_defaults(func=cmd_dilate)
 
@@ -374,10 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except CommutingInputError as exc:
         print(f"error: {exc} (commutator norm {exc.commutator_norm:.17g})", file=sys.stderr)
         return 2

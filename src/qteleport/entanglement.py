@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
 from .linalg import clamped_psd_eigenvalues, dagger, eig_hermitian, psd_sqrt
 from .states import SIGMA_Y, check_density_matrix, check_pure_state
 
@@ -107,10 +106,13 @@ def concurrence(rho) -> float:
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 
+def _eof_from_concurrence(c: float) -> float:
+    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+
+
 def entanglement_of_formation(rho) -> float:
     """EoF in bits from the concurrence, h((1 + sqrt(1 - C^2)) / 2)."""
-    c = concurrence(rho)
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return _eof_from_concurrence(concurrence(rho))
 
 
 def fully_entangled_fraction(rho) -> float:
@@ -154,7 +156,7 @@ def entanglement_report(rho, tol: float = DEFAULT_MAXIMAL_TOL) -> EntanglementRe
     """
     m = check_density_matrix(rho, dim=4)
     c = concurrence(m)
-    eof = binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    eof = _eof_from_concurrence(c)
     purity = float(np.trace(m @ m).real)
     if purity >= 1.0 - 1e-10:
         top = eig_hermitian(m).eigenvectors[:, -1]

@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DimensionError, NonHermitianError, NotPositiveError
 
-MAX_DIM = 32
-
 # Relative tolerance for accepting a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-8
 # Eigenvalues in [-PSD_CLAMP_TOL, 0) are treated as roundoff and clamped to 0;
@@ -34,14 +32,6 @@ def as_operator(a) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, left factor on the slower-varying index."""
     return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
-def kron_all(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of several factors, left to right."""
-    out = np.asarray(factors[0], dtype=np.complex128)
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -111,10 +101,6 @@ class HermitianEigen:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
 
 
 def fix_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CommutingInputError, DegenerateInputError, DimensionError
-from .linalg import (
-    clamped_psd_eigenvalues,
-    dagger,
-    eig_hermitian,
-    fix_phase,
-    frobenius,
-    hermiticity_defect,
-    psd_sqrt,
-)
+from .linalg import clamped_psd_eigenvalues, dagger, fix_phase, frobenius, psd_sqrt
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

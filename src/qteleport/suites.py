@@ -17,18 +17,18 @@ from .channels import (
     random_local_protocol,
     resource_channel,
 )
+from .linalg import dagger, frobenius
 from .optimize import ProtocolParams, decode_protocol
 from .states import (
-    bloch_from_density,
     commutator_norm,
     density_from_bloch,
     haar_random_pure,
-    pure_density,
     random_density_matrix,
 )
 from .teleport import (
     TOL_EXACT,
     bbcjpw_protocol,
+    bell_states,
     classical_commuting_protocol,
     extreme_reduction_check,
     linearity_check,
@@ -89,10 +89,9 @@ def linearity_suite(seed, runs: int = 100, specs_per_run: int = 1) -> list[Check
                     chi1, chi2, raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]
                 )
             )
-        endpoints = linearity_check(protocol, channel, chi1, chi2, [(1.0, 0.0), (0.0, 1.0)])
-        worst_endpoint = max(worst_endpoint, *(1.0 - o.fidelity for o in endpoints))
-        outcomes = linearity_check(protocol, channel, chi1, chi2, specs)
-        worst_superposition = max(worst_superposition, *(1.0 - o.fidelity for o in outcomes))
+        outcomes = linearity_check(protocol, channel, chi1, chi2, [(1.0, 0.0), (0.0, 1.0), *specs])
+        worst_endpoint = max(worst_endpoint, *(1.0 - o.fidelity for o in outcomes[:2]))
+        worst_superposition = max(worst_superposition, *(1.0 - o.fidelity for o in outcomes[2:]))
     return [
         CheckResult("endpoint_states_teleported_exactly", worst_endpoint, TOL_EXACT),
         CheckResult("superpositions_teleported_exactly", worst_superposition, TOL_EXACT),
@@ -123,18 +122,13 @@ def _matrix_channels(rng: np.random.Generator):
         product_channel(),
     ]
     eye4 = np.eye(4, dtype=complex) / 4.0
+    bell = bell_states()[0]
     for p in (0.3, 0.7):
-        mixed = p * np.outer(_bell_ket(), _bell_ket().conj()) + (1 - p) * eye4
+        mixed = p * np.outer(bell, bell.conj()) + (1 - p) * eye4
         channels.append(resource_channel(mixed))
     for _ in range(3):
         channels.append(resource_channel(random_density_matrix(4, rng)))
     return channels
-
-
-def _bell_ket() -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return v
 
 
 def extreme_reduction_suite(seed) -> list[CheckResult]:
@@ -165,29 +159,31 @@ def extreme_reduction_suite(seed) -> list[CheckResult]:
     ]
 
 
+def dilation_residuals(protocol, probes: int, rng: np.random.Generator):
+    """Dilate a protocol; return the dilation, its unitarity residual and the
+    worst Frobenius gap to `apply_kraus` over ``probes`` random states."""
+    dil = dilate(protocol)
+    unitarity = frobenius(dagger(dil.u) @ dil.u - np.eye(dil.u.shape[0]))
+    worst = 0.0
+    for _ in range(probes):
+        rho = random_density_matrix(protocol.alice_dim * protocol.bob_dim, rng)
+        worst = max(worst, frobenius(dil.apply(rho) - apply_kraus(protocol, rho)))
+    return dil, unitarity, worst
+
+
 def dilation_suite(seed, n_protocols: int = 50, probes: int = 10) -> list[CheckResult]:
     """Unitarity and channel equality for dilations of random protocols."""
     rng = np.random.default_rng([seed, 0x33])
     worst_unitarity = 0.0
     worst_channel = 0.0
-    for k in range(n_protocols):
+    for _ in range(n_protocols):
         alice_dim = int(rng.choice([2, 2, 4]))
         bob_dim = int(rng.choice([2, 2, 4]))
         n_pairs = int(rng.integers(1, 6))
         protocol = random_local_protocol(rng, alice_dim, bob_dim, n_pairs)
-        dil = dilate(protocol)
-        eye = np.eye(dil.u.shape[0])
-        worst_unitarity = max(
-            worst_unitarity, float(np.linalg.norm(dil.u.conj().T @ dil.u - eye, "fro"))
-        )
-        d = alice_dim * bob_dim
-        for _ in range(probes):
-            rho = random_density_matrix(d, rng)
-            via_unitary = dil.apply(rho)
-            via_kraus = apply_kraus(protocol, rho)
-            worst_channel = max(
-                worst_channel, float(np.linalg.norm(via_unitary - via_kraus, "fro"))
-            )
+        _, unitarity, channel = dilation_residuals(protocol, probes, rng)
+        worst_unitarity = max(worst_unitarity, unitarity)
+        worst_channel = max(worst_channel, channel)
     return [
         CheckResult("dilation_unitarity_residual", worst_unitarity, 1e-9),
         CheckResult("dilation_reproduces_kraus_map", worst_channel, 1e-9),

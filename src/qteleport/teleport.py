@@ -21,13 +21,13 @@ import numpy as np
 
 from .channels import (
     LocalKrausProtocol,
+    apply_kraus,
     apply_protocol,
-    require_complete,
+    require_teleport_protocol,
     resource_channel,
     teleported_output,
 )
-from .errors import DimensionError
-from .linalg import dagger, kron
+from .linalg import kron
 from .states import (
     check_density_matrix,
     check_pure_state,
@@ -127,8 +127,13 @@ class TeleportOutcome:
 def run_teleport(input_rho, channel_rho, p: LocalKrausProtocol, intended) -> TeleportOutcome:
     """Apply the protocol and score the particle-2 marginal against ``intended``."""
     joint = apply_protocol(input_rho, channel_rho, p)
+    return _score(joint, check_density_matrix(intended, dim=2))
+
+
+def _score(joint, intended) -> TeleportOutcome:
+    """Score the particle-2 marginal of a protocol output; inputs already checked."""
     output = teleported_output(joint)
-    fidelity = state_fidelity(check_density_matrix(intended, dim=2), output)
+    fidelity = state_fidelity(intended, output)
     return TeleportOutcome(output=output, fidelity=fidelity, exact=fidelity >= 1.0 - TOL_EXACT)
 
 
@@ -174,10 +179,12 @@ def linearity_check(
             f"input states are orthogonal (|<chi1|chi2>| = {overlap:.3e}); "
             "the propagation statement needs a non-orthogonal pair"
         )
+    rho_ch = check_density_matrix(channel_rho, dim=8)
+    require_teleport_protocol(p)
     outcomes = []
     for a1, a2 in specs:
-        chi = superposition_state(v1, v2, a1, a2)
-        outcomes.append(run_teleport(pure_density(chi), channel_rho, p, pure_density(chi)))
+        rho = pure_density(superposition_state(v1, v2, a1, a2))
+        outcomes.append(_score(apply_kraus(p, kron(rho, rho_ch)), rho))
     return outcomes
 
 
@@ -205,10 +212,12 @@ def extreme_reduction_check(
     m1 = check_density_matrix(rho1, dim=2)
     m2 = check_density_matrix(rho2, dim=2)
     dec = extreme_decomposition(m1, m2)
-    o1 = run_teleport(m1, channel_rho, p, m1)
-    o2 = run_teleport(m2, channel_rho, p, m2)
-    opsi = run_teleport(pure_density(dec.psi), channel_rho, p, pure_density(dec.psi))
-    ophi = run_teleport(pure_density(dec.phi), channel_rho, p, pure_density(dec.phi))
+    rho_ch = check_density_matrix(channel_rho, dim=8)
+    require_teleport_protocol(p)
+    o1, o2, opsi, ophi = (
+        _score(apply_kraus(p, kron(rho, rho_ch)), rho)
+        for rho in (m1, m2, pure_density(dec.psi), pure_density(dec.phi))
+    )
     premise = o1.exact and o2.exact
     conclusion = opsi.exact and ophi.exact
     return ExtremeReductionReport(
@@ -230,16 +239,10 @@ def average_fidelity(p: LocalKrausProtocol, channel_rho, samples: int, seed) -> 
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rho_ch = check_density_matrix(channel_rho, dim=8)
-    require_complete(p)
-    kraus = p.kraus_operators()
-    children = np.random.SeedSequence(seed).spawn(samples)
+    require_teleport_protocol(p)
     total = 0.0
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(samples):
         chi = haar_random_pure(2, child)
-        joint = kron(pure_density(chi), rho_ch)
-        out = np.zeros_like(joint)
-        for k in kraus:
-            out += k @ joint @ dagger(k)
-        reduced = teleported_output(out)
+        reduced = teleported_output(apply_kraus(p, kron(pure_density(chi), rho_ch)))
         total += float(np.real(np.vdot(chi, reduced @ chi)))
     return total / samples

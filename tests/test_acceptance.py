@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qteleport.channels import angle_channel, apply_kraus, dilate, random_local_protocol
+from qteleport.channels import angle_channel
 from qteleport.entanglement import concurrence, is_maximally_entangled
 from qteleport.linalg import frobenius, partial_trace
 from qteleport.optimize import sweep_channel_angle
@@ -23,16 +23,13 @@ from qteleport.states import (
     extreme_decomposition,
     haar_random_pure,
     pure_density,
-    random_density_matrix,
     random_unitary,
 )
-from qteleport.suites import extreme_reduction_suite
+from qteleport.suites import dilation_suite, extreme_reduction_suite, linearity_suite
 from qteleport.teleport import (
     average_fidelity,
     bbcjpw_protocol,
     classical_commuting_protocol,
-    linearity_check,
-    normalized_superposition,
     product_channel,
     run_teleport,
 )
@@ -95,25 +92,12 @@ def test_c1_exact_teleportation_baseline():
 
 def test_c2_superposition_propagation():
     """100 non-orthogonal pairs x 20 superpositions, all exact."""
-    protocol = bbcjpw_protocol()
-    rng = np.random.default_rng(201)
-    worst = 1.0
-    for _ in range(100):
-        while True:
-            chi1 = haar_random_pure(2, rng)
-            chi2 = haar_random_pure(2, rng)
-            if abs(np.vdot(chi1, chi2)) > 1e-3:
-                break
-        specs = []
-        for _ in range(20):
-            raw = rng.normal(size=4)
-            specs.append(normalized_superposition(chi1, chi2,
-                                                  raw[0] + 1j * raw[1], raw[2] + 1j * raw[3]))
-        outcomes = linearity_check(protocol, BELL, chi1, chi2, specs)
-        worst = min(worst, *(o.fidelity for o in outcomes))
-    passed = worst >= 1 - 1e-9
-    report("2", passed, f"2000 superpositions, worst fidelity {worst:.12f}")
+    checks = {c.check: c for c in linearity_suite(seed=201, runs=100, specs_per_run=20)}
+    worst = checks["superpositions_teleported_exactly"].residual
+    passed = worst <= 1e-9
+    report("2", passed, f"2000 superpositions, worst 1 - fidelity {worst:.3e}")
     assert passed
+    assert checks["endpoint_states_teleported_exactly"].residual <= 1e-9
 
 
 def test_c3_extreme_decomposition():
@@ -180,20 +164,9 @@ def test_c4_extreme_reduction_implication():
 
 def test_c5_dilation_soundness():
     """50 random protocols: unitarity and Kraus equality on 10 probes each."""
-    rng = np.random.default_rng(501)
-    worst_unitary = 0.0
-    worst_channel = 0.0
-    for _ in range(50):
-        n_pairs = int(rng.integers(1, 6))
-        protocol = random_local_protocol(rng, alice_dim=2, bob_dim=2, n_pairs=n_pairs)
-        dil = dilate(protocol)
-        eye = np.eye(dil.u.shape[0])
-        worst_unitary = max(worst_unitary,
-                            frobenius(dil.u.conj().T @ dil.u - eye))
-        for _ in range(10):
-            rho = random_density_matrix(4, rng)
-            worst_channel = max(worst_channel,
-                                frobenius(dil.apply(rho) - apply_kraus(protocol, rho)))
+    checks = {c.check: c for c in dilation_suite(seed=501, n_protocols=50, probes=10)}
+    worst_unitary = checks["dilation_unitarity_residual"].residual
+    worst_channel = checks["dilation_reproduces_kraus_map"].residual
     passed = worst_unitary < 1e-9 and worst_channel < 1e-9
     report("5", passed, f"unitarity {worst_unitary:.2e}, channel match {worst_channel:.2e}")
     assert worst_unitary < 1e-9

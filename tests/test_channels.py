@@ -244,3 +244,14 @@ def test_protocol_json_round_trip_bbcjpw():
     for (a1, b1), (a2, b2) in zip(p.pairs, q.pairs):
         assert np.array_equal(a1, a2)
         assert np.array_equal(b1, b2)
+
+
+def test_protocol_data_is_read_only_copies():
+    a = np.eye(2, dtype=complex)
+    p = LocalKrausProtocol(pairs=((a, a),), alice_dim=2, bob_dim=2)
+    assert a.flags.writeable
+    with pytest.raises(ValueError):
+        p.pairs[0][0][0, 0] = 2.0
+    with pytest.raises(ValueError):
+        p.kraus[0, 0, 0] = 2.0
+    assert p.kraus.shape == (1, 4, 4)

@@ -220,3 +220,37 @@ def test_bad_state_grammar_exits_2(capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "entangle", "--state", "@/no/such/file.json")
     assert code == 2
+
+
+
+_TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, protocol_doc",
+    [
+        (["teleport", "--input", "0,0,1", "--channel-angle", "pi/0"], None, None),
+        (["verify", "--suite", "linearity"], "abc", None),
+        (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4}),
+        (_TELEPORT_FILE, None,
+         {"alice_dim": 4, "bob_dim": 4, "pairs": [{"a": matrix_to_pairs(np.eye(4))}]}),
+        (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": [{"a": [], "b": []}]}),
+        (["dilate", "--probes", "-3"], None, None),
+    ],
+    ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
+         "protocol-pair-not-matrix", "negative-probes"],
+)
+def test_malformed_input_exits_2_without_traceback(
+    capsys, monkeypatch, tmp_path, argv, env_seed, protocol_doc
+):
+    if env_seed is not None:
+        monkeypatch.setenv("QTELEPORT_SEED", env_seed)
+    if protocol_doc is not None:
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(protocol_doc))
+        argv = [*argv, f"@{path}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error:" in err

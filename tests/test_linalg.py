@@ -7,7 +7,6 @@ from qteleport.linalg import (
     eig_hermitian,
     frobenius,
     kron,
-    kron_all,
     partial_trace,
     psd_sqrt,
 )
@@ -59,12 +58,6 @@ def test_kron_trace_multiplicative():
         a = random_matrix(rng, dim, dim)
         b = random_matrix(rng, dim, dim)
         assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def test_kron_all_associates():
-    rng = np.random.default_rng(13)
-    a, b, c = (random_matrix(rng, 2, 2) for _ in range(3))
-    assert np.allclose(kron_all(a, b, c), kron(a, kron(b, c)), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +177,8 @@ def test_eig_reconstruction_and_orthonormality():
             assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
             v = eig.eigenvectors
             assert frobenius(v.conj().T @ v - np.eye(dim)) < 1e-10
-            assert frobenius(eig.reconstruct() - h) < 1e-10 * max(1.0, frobenius(h))
+            rebuilt = (v * eig.eigenvalues) @ v.conj().T
+            assert frobenius(rebuilt - h) < 1e-10 * max(1.0, frobenius(h))
 
 
 def test_eig_rejects_non_hermitian():
