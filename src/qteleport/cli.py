@@ -31,7 +31,12 @@ from .channels import (
     protocol_from_json,
     resource_channel,
 )
-from .entanglement import DEFAULT_MAXIMAL_TOL, entanglement_report, is_maximally_entangled
+from .entanglement import (
+    DEFAULT_MAXIMAL_TOL,
+    check_maximal_tol,
+    entanglement_report,
+    is_maximally_entangled,
+)
 from .errors import (
     CommutingInputError,
     DegenerateInputError,
@@ -235,6 +240,7 @@ def cmd_sweep(args) -> int:
     thetas = [parse_theta(t) for t in args.thetas.split(",")]
     chi1 = parse_ket(args.chi1, dim=2)
     chi2 = parse_ket(args.chi2, dim=2)
+    check_maximal_tol(args.tol_maximal)
     rows = sweep_channel_angle(thetas, chi1, chi2, starts=args.starts, seed=args.seed)
     verdicts = []
     for row in rows:

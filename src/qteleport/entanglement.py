@@ -128,10 +128,15 @@ def fully_entangled_fraction(rho) -> float:
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
-def is_maximally_entangled(rho, tol: float = DEFAULT_MAXIMAL_TOL) -> bool:
-    """Does the state hold one ebit, up to tol, by entanglement of formation?"""
+def check_maximal_tol(tol: float) -> None:
+    """Raise ValueError unless a maximality tolerance lies in (0, 0.1)."""
     if not 0.0 < tol < 0.1:
         raise ValueError(f"tol must lie in (0, 0.1), got {tol}")
+
+
+def is_maximally_entangled(rho, tol: float = DEFAULT_MAXIMAL_TOL) -> bool:
+    """Does the state hold one ebit, up to tol, by entanglement of formation?"""
+    check_maximal_tol(tol)
     return entanglement_of_formation(rho) >= 1.0 - tol
 
 
@@ -154,6 +159,7 @@ def entanglement_report(rho, tol: float = DEFAULT_MAXIMAL_TOL) -> EntanglementRe
     back to the entanglement of formation, which the pure case equals
     anyway.
     """
+    check_maximal_tol(tol)
     m = check_density_matrix(rho, dim=4)
     c = concurrence(m)
     eof = _eof_from_concurrence(c)

@@ -14,9 +14,17 @@ bounds over all protocols.
 The headline use: fix a non-orthogonal state pair, sweep the resource
 angle, and watch the best worst-case fidelity reach 1 only where the
 resource is maximally entangled.
+
+The sweep steps every start of every angle in lockstep. Each start's
+restart ladder is a generator that yields the points its simplex needs
+next; one scheduler gathers the pending points of all unfinished starts
+into a single batched objective call per round, each row tagged with its
+angle, and sends each start its slice of the values. The batched kernel
+reproduces the scalar evaluation bit for bit, so every start follows the
+trajectory it would follow alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import schur
@@ -27,7 +35,7 @@ from .entanglement import entropy_of_entanglement
 from .errors import DimensionError
 from .linalg import dagger, eig_hermitian
 from .states import check_density_matrix, check_pure_state
-from .teleport import SWAP, bell_unitary, receiver_factor
+from .teleport import bell_unitary, receiver_factor
 
 N_ALICE_PARAMS = 16
 N_BOB_PARAMS = 12
@@ -74,11 +82,11 @@ class ProtocolParams:
 
 
 def _hermitian_from_params(a: np.ndarray) -> np.ndarray:
-    h = np.zeros((4, 4), dtype=np.complex128)
-    h[_DIAG, _DIAG] = a[:4]
-    off = a[4::2] + 1j * a[5::2]
-    h[_OFF_I, _OFF_J] = off
-    h[_OFF_J, _OFF_I] = off.conj()
+    h = np.zeros(a.shape[:-1] + (4, 4), dtype=np.complex128)
+    h[..., _DIAG, _DIAG] = a[..., :4]
+    off = a[..., 4::2] + 1j * a[..., 5::2]
+    h[..., _OFF_I, _OFF_J] = off
+    h[..., _OFF_J, _OFF_I] = off.conj()
     return h
 
 
@@ -92,10 +100,13 @@ def _params_from_hermitian(h: np.ndarray) -> np.ndarray:
 
 
 def decode_alice_unitary(alice_params) -> np.ndarray:
-    """exp(iH) through the eigendecomposition of the Hermitian generator."""
+    """exp(iH) through the eigendecomposition of the Hermitian generator.
+
+    Takes one parameter vector of 16 or a stack of shape (..., 16).
+    """
     h = _hermitian_from_params(np.asarray(alice_params, dtype=float))
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def encode_alice_unitary(u) -> np.ndarray:
@@ -112,13 +123,19 @@ def encode_alice_unitary(u) -> np.ndarray:
 
 def decode_bob_unitaries(bob_params) -> np.ndarray:
     """Axis-angle triples -> stacked 2x2 special unitaries, smooth at zero."""
-    w = np.asarray(bob_params, dtype=float).reshape(4, 3)
+    return _bob_unitaries(np.asarray(bob_params, dtype=float).reshape(4, 3))
+
+
+def _bob_unitaries(w: np.ndarray) -> np.ndarray:
+    """2x2 special unitaries of shape (..., 2, 2) from triples (..., 3)."""
+    batch = w.shape[:-1]
+    w = w.reshape(-1, 3)
     alpha = np.sqrt((w * w).sum(axis=1))
     half = alpha / 2.0
     # sin(alpha/2)/alpha, continued through alpha = 0
     safe = np.maximum(alpha, 1e-300)
     coeff = np.where(alpha > 1e-12, np.sin(half) / safe, 0.5)
-    out = np.empty((4, 2, 2), dtype=np.complex128)
+    out = np.empty((len(w), 2, 2), dtype=np.complex128)
     cos = np.cos(half)
     cz = coeff * w[:, 2]
     cx = coeff * w[:, 0]
@@ -127,7 +144,7 @@ def decode_bob_unitaries(bob_params) -> np.ndarray:
     out[:, 1, 1] = cos + 1j * cz
     out[:, 0, 1] = -cy - 1j * cx
     out[:, 1, 0] = cy - 1j * cx
-    return out
+    return out.reshape(batch + (2, 2))
 
 
 def decode_protocol(params: ProtocolParams) -> LocalKrausProtocol:
@@ -159,59 +176,77 @@ def bbcjpw_equivalent_params() -> ProtocolParams:
 
 
 class _PairObjective:
-    """min-fidelity objective for a fixed channel and fixed state pair.
+    """min-fidelity objective for a fixed state pair, on one or more channels.
 
-    Precomputes the channel's spectral mixture and evaluates each protocol
+    Precomputes each channel's spectral mixture and evaluates protocols
     without materializing 16x16 operators: with a rank-one sender projector
     the joint Kraus image of a product vector factorizes, so each term
-    costs a handful of 4x4 products.
+    costs a handful of 4x4 products. ``evaluate`` scores a batch of
+    parameter vectors, each row on its own channel; the scalar call is a
+    batch of one on the first channel, through the same kernel.
     """
 
     def __init__(self, channel_rho, chi1, chi2):
-        rho_ch = check_density_matrix(channel_rho, dim=8)
-        self.chi = [check_pure_state(chi1, dim=2), check_pure_state(chi2, dim=2)]
-        eig = eig_hermitian(rho_ch)
-        keep = eig.eigenvalues > 1e-12
-        self.weights = eig.eigenvalues[keep]
-        vecs = eig.eigenvectors[:, keep]
-        # V4[j][k]: kron(chi_j, w_k) viewed as (sender 1A) x (receiver B2)
-        self.v4 = [
-            [np.kron(chi, vecs[:, k]).reshape(4, 4) for k in range(vecs.shape[1])]
-            for chi in self.chi
-        ]
-        self.chi_conj = [chi.conj() for chi in self.chi]
-        self._col_perm = SWAP.real.argmax(axis=0)
+        rhos = np.asarray(channel_rho)
+        if rhos.ndim == 2:
+            rhos = rhos[None]
+        chis = [check_pure_state(chi1, dim=2), check_pure_state(chi2, dim=2)]
+        if abs(np.vdot(*chis)) <= 1e-8:
+            raise ValueError("state pair must be non-orthogonal")
+        eigs = [eig_hermitian(check_density_matrix(rho, dim=8)) for rho in rhos]
+        keeps = [eig.eigenvalues > 1e-12 for eig in eigs]
+        rank = max(int(keep.sum()) for keep in keeps)
+        # Channels of lower rank are padded with zero weights and zero
+        # vectors: each padded term adds 0.0 * x, which is exact.
+        self.weights = np.zeros((len(eigs), rank))
+        # v4[j, k, c]: kron(chi_j, w_k of channel c) viewed as
+        # (sender 1A) x (receiver B2)
+        self.v4 = np.zeros((2, rank, len(eigs), 4, 4), dtype=np.complex128)
+        for c, (eig, keep) in enumerate(zip(eigs, keeps)):
+            self.weights[c, : keep.sum()] = eig.eigenvalues[keep]
+            vecs = eig.eigenvectors[:, keep]
+            for j, chi in enumerate(chis):
+                for k in range(vecs.shape[1]):
+                    self.v4[j, k, c] = np.kron(chi, vecs[:, k]).reshape(4, 4)
+        # conj(chi_j) as a column, broadcast over (k, b, outcome)
+        self._chi_conj = np.array(chis).conj()[:, None, None, None, :, None]
 
-    def __call__(self, vec: np.ndarray) -> float:
-        u = decode_alice_unitary(vec[:N_ALICE_PARAMS])
-        bobs = decode_bob_unitaries(vec[N_ALICE_PARAMS:])
-        # receiver factor per outcome: block-diagonal copy of the 2x2
-        # unitary, columns permuted by the routing swap
-        blocks = np.zeros((4, 4, 4), dtype=np.complex128)
-        blocks[:, 0:2, 0:2] = bobs
-        blocks[:, 2:4, 2:4] = bobs
-        bstack = blocks[:, :, self._col_perm]
+    def __call__(self, vec) -> float:
+        return float(self.evaluate(np.reshape(vec, (1, N_PARAMS)), _FIRST_CHANNEL)[0])
 
-        fmin = 1.0
-        u_dag = u.conj().T
-        for j in (0, 1):
-            fid = 0.0
-            for weight, v4 in zip(self.weights, self.v4[j]):
-                rows = u_dag @ v4                       # row i: <c_i| V4
-                imgs = np.matmul(bstack, rows[:, :, None])
-                m = imgs.reshape(4, 2, 2) @ self.chi_conj[j]
-                fid += weight * float(np.vdot(m, m).real)
-            fmin = min(fmin, fid)
-        return min(max(fmin, 0.0), 1.0)
+    def evaluate(self, points, channel_index) -> np.ndarray:
+        """Objective of each row of ``points`` (B, 28) on channel
+        ``channel_index[b]``; every row equals its own scalar evaluation
+        bit for bit."""
+        points = np.asarray(points, dtype=float)
+        u_dag = decode_alice_unitary(points[:, :N_ALICE_PARAMS]).conj().swapaxes(-1, -2)
+        bobs = _bob_unitaries(points[:, N_ALICE_PARAMS:].reshape(-1, 4, 3))
+        # receiver factor per outcome, kron(I, U) @ SWAP: the 2x2 unitary
+        # fills rows 0-1 at columns 0, 2 and rows 2-3 at columns 1, 3
+        bstack = np.zeros(bobs.shape[:2] + (4, 4), dtype=np.complex128)
+        bstack[..., 0:2, 0::2] = bobs
+        bstack[..., 2:4, 1::2] = bobs
+
+        # axes (state j, channel term k, row b, ...)
+        rows = u_dag @ self.v4[:, :, channel_index]     # row i: <c_i| V4
+        imgs = bstack @ rows[..., None]
+        m = (imgs.reshape(rows.shape[:3] + (4, 2, 2)) @ self._chi_conj).reshape(
+            rows.shape[:3] + (1, 8))
+        # this product form reproduces np.vdot(m, m) bit for bit; einsum or
+        # a sum of squares can differ by one ulp
+        terms = self.weights[channel_index].T * (m.conj() @ m.swapaxes(-1, -2))[..., 0, 0].real
+        fids = terms[:, 0]
+        for k in range(1, terms.shape[1]):
+            fids = fids + terms[:, k]
+        return np.maximum(np.fmin(np.fmin(1.0, fids[0]), fids[1]), 0.0)
+
+
+_FIRST_CHANNEL = np.zeros(1, dtype=int)
 
 
 def pair_objective(params: ProtocolParams, channel_rho, chi1, chi2) -> float:
     """Worst teleportation fidelity over the two states, for one protocol."""
-    v1 = check_pure_state(chi1, dim=2)
-    v2 = check_pure_state(chi2, dim=2)
-    if abs(np.vdot(v1, v2)) <= 1e-8:
-        raise ValueError("state pair must be non-orthogonal")
-    return _PairObjective(channel_rho, v1, v2)(params.as_vector())
+    return _PairObjective(channel_rho, chi1, chi2)(params.as_vector())
 
 
 @dataclass(frozen=True)
@@ -239,25 +274,36 @@ def nelder_mead(
     ``tol_x`` or the objective spread below ``tol_f``; hitting
     ``max_evals`` first reports converged=False rather than raising.
     """
+    search = _simplex_search(init, tol_x, tol_f, max_evals, initial_step)
+    try:
+        points = next(search)
+        while True:
+            points = search.send([float(objective(x)) for x in points])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _simplex_search(init, tol_x, tol_f, max_evals, initial_step):
+    """The simplex of ``nelder_mead`` as a generator.
+
+    Yields each (k, n) array of points it needs (the initial simplex,
+    k = n + 1; a reflection, expansion or contraction, k = 1; a shrink,
+    k = n), receives their k objective values, and returns the OptResult.
+    """
     x0 = np.asarray(init, dtype=float).reshape(-1)
     n = x0.size
     if n < 1:
         raise ValueError("need at least one parameter")
 
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return -float(objective(x))
-
+    # The search minimizes the negated objective.
     simplex = np.tile(x0, (n + 1, 1))
     simplex[1:] += np.eye(n) * initial_step
-    values = np.array([f(simplex[k]) for k in range(n + 1)])
+    values = -np.asarray((yield simplex), dtype=float)
+    evals = n + 1
 
     converged = False
     while evals < max_evals:
-        order = np.argsort(values, kind="stable")
+        order = values.argsort(kind="stable")
         simplex = simplex[order]
         values = values[order]
 
@@ -268,12 +314,14 @@ def nelder_mead(
             converged = True
             break
 
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = simplex[:-1].sum(axis=0) / n  # the mean, without its call overhead
         reflected = centroid + (centroid - simplex[-1])
-        fr = f(reflected)
+        fr = -float((yield reflected[None])[0])
+        evals += 1
         if fr < values[0]:
             expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(expanded)
+            fe = -float((yield expanded[None])[0])
+            evals += 1
             if fe < fr:
                 simplex[-1], values[-1] = expanded, fe
             else:
@@ -283,18 +331,19 @@ def nelder_mead(
         else:
             if fr < values[-1]:
                 contracted = centroid + 0.5 * (reflected - centroid)
-                fc = f(contracted)
+                fc = -float((yield contracted[None])[0])
                 accept = fc <= fr
             else:
                 contracted = centroid + 0.5 * (simplex[-1] - centroid)
-                fc = f(contracted)
+                fc = -float((yield contracted[None])[0])
                 accept = fc < values[-1]
+            evals += 1
             if accept:
                 simplex[-1], values[-1] = contracted, fc
             else:
                 simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                for k in range(1, n + 1):
-                    values[k] = f(simplex[k])
+                values[1:] = -np.asarray((yield simplex[1:]), dtype=float)
+                evals += n
 
     best_idx = int(np.argmin(values))
     return OptResult(
@@ -312,10 +361,11 @@ def nelder_mead(
 _RESTART_LADDER = ((0.1, 0.4), (0.7, 0.2), (0.1, 0.2), (0.02, 1.0))
 
 
-def _polished_run(objective, start, tol_x, tol_f, max_evals) -> OptResult:
-    """One multistart leg: a ladder of simplex runs within a shared budget.
+def _polished_run(start, tol_x, tol_f, max_evals):
+    """One multistart leg: a ladder of simplex searches within a shared
+    budget, as a generator of point requests like ``_simplex_search``.
 
-    Every run after the first restarts from the best point seen so far.
+    Every search after the first restarts from the best point seen so far.
     Stops early when the budget is gone or the objective has hit its
     ceiling of 1.
     """
@@ -327,10 +377,7 @@ def _polished_run(objective, start, tol_x, tol_f, max_evals) -> OptResult:
         if remaining <= 0:
             break
         budget = min(remaining, max(1, int(max_evals * share)))
-        result = nelder_mead(
-            objective, point, tol_x=tol_x, tol_f=tol_f,
-            max_evals=budget, initial_step=step,
-        )
+        result = yield from _simplex_search(point, tol_x, tol_f, budget, step)
         total += result.evaluations
         remaining -= result.evaluations
         if best is None or result.best_objective > best.best_objective:
@@ -346,9 +393,55 @@ def _polished_run(objective, start, tol_x, tol_f, max_evals) -> OptResult:
     )
 
 
+def _lockstep(objective: _PairObjective, searches, channel_index) -> list[OptResult]:
+    """Step every search together; return their results in order.
+
+    Each round concatenates the points every unfinished search asked for
+    into one batched objective call, each row tagged with its search's
+    channel, and sends each search its slice of the values. A search sees
+    exactly the values a scalar evaluation would give, so its trajectory
+    does not depend on which other searches share the batch.
+    """
+    results = [None] * len(searches)
+    requests = {}
+
+    def advance(i, values):
+        try:
+            requests[i] = searches[i].send(values)
+        except StopIteration as stop:
+            results[i] = stop.value
+            requests.pop(i, None)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while requests:
+        ids = list(requests)
+        batch = [requests[i] for i in ids]
+        sizes = [len(points) for points in batch]
+        values = objective.evaluate(np.concatenate(batch), np.repeat(channel_index[ids], sizes))
+        end = 0
+        for i, size in zip(ids, sizes):
+            advance(i, values[end:end + size])
+            end += size
+    return results
+
+
+@dataclass(frozen=True)
+class StartRecord:
+    """What one start of a sweep angle spent and found."""
+
+    evaluations: int
+    converged: bool
+    best_objective: float
+
+
 @dataclass(frozen=True)
 class SweepRow:
-    """One resource angle of the sweep, with the winning protocol kept."""
+    """One resource angle of the sweep, with the winning protocol kept.
+
+    ``start_records`` holds one record per start, Bell start first; it is
+    diagnostic only and left out of comparisons, repr and the CSV.
+    """
 
     theta: float
     channel_entropy: float
@@ -356,6 +449,7 @@ class SweepRow:
     starts: int
     evaluations: int
     best_params: ProtocolParams
+    start_records: tuple[StartRecord, ...] = field(default=(), compare=False, repr=False)
 
 
 def stratified_starts(n_starts: int, rng: np.random.Generator) -> np.ndarray:
@@ -381,6 +475,7 @@ def sweep_channel_angle(
 
     Each angle in (0, pi/4] gets ``starts`` simplex runs: one seeded at the
     Bell-measurement parameters and the rest at stratified random points.
+    All runs of all angles step in lockstep through one batched objective.
     Ties keep the earliest start. Rows come back sorted by angle and are
     bit-reproducible for a fixed seed and grid.
     """
@@ -390,36 +485,34 @@ def sweep_channel_angle(
             raise ValueError(f"theta {t!r} outside (0, pi/4]")
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    v1 = check_pure_state(chi1, dim=2)
-    v2 = check_pure_state(chi2, dim=2)
 
-    root = np.random.SeedSequence(seed)
-    theta_seeds = root.spawn(len(thetas))
     order = np.argsort(thetas)
-
-    rows = []
+    objective = _PairObjective(np.array([angle_channel(thetas[i]) for i in order]), chi1, chi2)
+    theta_seeds = np.random.SeedSequence(seed).spawn(len(thetas))
+    searches = []
     for idx in order:
-        theta = thetas[idx]
-        objective = _PairObjective(angle_channel(theta), v1, v2)
         rng = np.random.default_rng(theta_seeds[idx])
         start_points = [bbcjpw_equivalent_params().as_vector()]
         start_points.extend(stratified_starts(starts - 1, rng))
+        searches.extend(_polished_run(p, tol_x, tol_f, max_evals) for p in start_points)
+    results = _lockstep(objective, searches, np.repeat(np.arange(len(order)), starts))
 
-        best = None
-        total_evals = 0
-        for point in start_points:
-            result = _polished_run(objective, point, tol_x, tol_f, max_evals)
-            total_evals += result.evaluations
-            if best is None or result.best_objective > best.best_objective:
-                best = result
+    rows = []
+    for a, idx in enumerate(order):
+        theta = thetas[idx]
+        runs = results[a * starts:(a + 1) * starts]
+        best = max(runs, key=lambda r: r.best_objective)  # ties keep the earliest start
         rows.append(
             SweepRow(
                 theta=theta,
                 channel_entropy=entropy_of_entanglement(entangled_pair_ket(theta), (2, 2)),
                 best_min_fidelity=best.best_objective,
                 starts=starts,
-                evaluations=total_evals,
+                evaluations=sum(r.evaluations for r in runs),
                 best_params=ProtocolParams.from_vector(best.best_params),
+                start_records=tuple(
+                    StartRecord(r.evaluations, r.converged, r.best_objective) for r in runs
+                ),
             )
         )
     return rows

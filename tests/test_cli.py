@@ -188,6 +188,17 @@ def test_sweep_rejects_theta_zero(capsys):
     assert "theta" in err
 
 
+def test_sweep_checks_tol_maximal_before_sweeping(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran before --tol-maximal was checked")
+
+    monkeypatch.setattr("qteleport.cli.sweep_channel_angle", no_sweep)
+    code, _, err = run_cli(capsys, "sweep", "--thetas", "pi/4", "--starts", "1",
+                           "--tol-maximal", "5")
+    assert code == 2
+    assert "tol must lie in (0, 0.1)" in err
+
+
 def test_sweep_writes_output_file(capsys, tmp_path):
     path = tmp_path / "rows.csv"
     code, out, _ = run_cli(capsys, "sweep", "--thetas", "pi/4", "--starts", "1",
@@ -236,9 +247,14 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
          {"alice_dim": 4, "bob_dim": 4, "pairs": [{"a": matrix_to_pairs(np.eye(4))}]}),
         (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": [{"a": [], "b": []}]}),
         (["dilate", "--probes", "-3"], None, None),
+        (["sweep", "--thetas", "pi/8", "--starts", "1", "--chi1", "1,0", "--chi2", "0,1"],
+         None, None),
+        (["entangle", "--angle", "0.1", "--tol-maximal", "5"], None, None),
+        (["sweep", "--thetas", "pi/4", "--starts", "1", "--tol-maximal", "5"], None, None),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
-         "protocol-pair-not-matrix", "negative-probes"],
+         "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
+         "entangle-tol-maximal-out-of-range", "sweep-tol-maximal-out-of-range"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, protocol_doc

@@ -6,6 +6,7 @@ from qteleport.optimize import (
     N_PARAMS,
     OptResult,
     ProtocolParams,
+    _PairObjective,
     bbcjpw_equivalent_params,
     decode_alice_unitary,
     decode_bob_unitaries,
@@ -152,8 +153,28 @@ def test_pair_objective_decohered_channel_is_half():
 
 
 def test_pair_objective_rejects_orthogonal_pair():
+    ket1 = np.array([0, 1], dtype=complex)
     with pytest.raises(ValueError):
-        pair_objective(bbcjpw_equivalent_params(), BELL, KET0, np.array([0, 1], dtype=complex))
+        pair_objective(bbcjpw_equivalent_params(), BELL, KET0, ket1)
+    # the sweep shares the objective's check
+    with pytest.raises(ValueError, match="non-orthogonal"):
+        sweep_channel_angle([np.pi / 8], KET0, ket1, starts=1)
+
+
+def test_batched_objective_equals_scalar_call_bit_for_bit():
+    # mixed angles plus a full-rank channel, so lower ranks are zero-padded
+    rng = np.random.default_rng(89)
+    channels = [angle_channel(t) for t in (np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)]
+    channels.append(resource_channel(random_density_matrix(4, rng)))
+    batched = _PairObjective(np.array(channels), KET0, PLUS)
+    scalar = [_PairObjective(channel, KET0, PLUS) for channel in channels]
+    points = rng.uniform(-np.pi, np.pi, (200, N_PARAMS))
+    points[0] = bbcjpw_equivalent_params().as_vector()
+    tags = rng.integers(0, len(channels), len(points))
+    values = batched.evaluate(points, tags)
+    for point, tag, value in zip(points, tags, values):
+        assert value == scalar[tag](point)
+        assert batched.evaluate(point[None], [tag])[0] == value
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +227,42 @@ def test_stratified_starts_cover_each_dimension():
     bins = ((pts / np.pi + 1.0) / 2.0 * 8).astype(int)
     for d in range(N_PARAMS):
         assert sorted(bins[:, d]) == list(range(8))
+
+
+QUARTER_GRID = [np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4]
+
+
+def test_sweep_rows_pinned_bit_for_bit():
+    # values of the sequential sweep that preceded lockstep batching
+    rows = sweep_channel_angle(QUARTER_GRID, KET0, PLUS, starts=3, seed=0, max_evals=2000)
+    assert [r.best_min_fidelity for r in rows] == [
+        0.9676359849745843, 0.9912338202404989, 0.999031272079646, 1.0]
+    assert [r.evaluations for r in rows] == [6000, 6000, 6000, 4800]
+
+
+def test_sweep_row_independent_of_batch_composition():
+    # an angle listed first draws its starts from the same seed child as
+    # when swept alone, so each rotation of the grid isolates one row
+    for i, theta in enumerate(QUARTER_GRID):
+        grid = QUARTER_GRID[i:] + QUARTER_GRID[:i]
+        rows = sweep_channel_angle(grid, KET0, PLUS, starts=2, seed=4, max_evals=600)
+        row = next(r for r in rows if r.theta == theta)
+        alone, = sweep_channel_angle([theta], KET0, PLUS, starts=2, seed=4, max_evals=600)
+        assert row.best_min_fidelity == alone.best_min_fidelity
+        assert row.evaluations == alone.evaluations
+        assert np.array_equal(row.best_params.as_vector(), alone.best_params.as_vector())
+        assert row.start_records == alone.start_records
+
+
+def test_sweep_start_records_show_budget_use():
+    max_evals = 700
+    row, = sweep_channel_angle([np.pi / 8], KET0, PLUS, starts=3, seed=1, max_evals=max_evals)
+    assert len(row.start_records) == 3
+    assert sum(r.evaluations for r in row.start_records) == row.evaluations
+    assert max(r.best_objective for r in row.start_records) == row.best_min_fidelity
+    for record in row.start_records[1:]:  # the stratified starts
+        assert record.converged is False
+        assert record.evaluations >= max_evals
 
 
 def test_sweep_rejects_bad_theta():
