@@ -12,7 +12,6 @@ import numpy as np
 from qteleport import (
     apply_kraus,
     bbcjpw_protocol,
-    check_completeness,
     dilate,
     protocol_from_json,
     protocol_to_json,
@@ -24,7 +23,7 @@ from qteleport.linalg import frobenius
 
 protocol = bbcjpw_protocol()
 print(f"Bell protocol: {len(protocol)} Kraus pairs, completeness residual "
-      f"{check_completeness(protocol):.2e}")
+      f"{protocol.completeness_residual:.2e}")
 
 text = protocol_to_json(protocol)
 again = protocol_from_json(text)

@@ -13,7 +13,6 @@ from .channels import (
     angle_channel,
     apply_kraus,
     apply_protocol,
-    check_completeness,
     dilate,
     entangled_pair_ket,
     protocol_from_json,

@@ -87,11 +87,6 @@ class LocalKrausProtocol:
         return len(self.pairs)
 
 
-def check_completeness(p: LocalKrausProtocol) -> float:
-    """Frobenius residual of sum_i (A_i^t A_i) (x) (B_i^t B_i) against I."""
-    return p.completeness_residual
-
-
 def require_complete(p: LocalKrausProtocol) -> None:
     residual = p.completeness_residual
     if residual > COMPLETENESS_TOL:
@@ -333,8 +328,17 @@ def protocol_from_json(text: str) -> LocalKrausProtocol:
             raise ValueError(f"protocol JSON: {where} has no {key!r} field")
         return obj[key]
 
+    def factor(entry, key, where):
+        rows = get(entry, key, where)
+        try:
+            return jsonio.matrix_from_pairs(rows)
+        except (TypeError, ValueError) as exc:  # a number, short or long pairs
+            raise ValueError(
+                f"protocol JSON: {where} field {key!r} is not rows of [re, im] pairs"
+            ) from exc
+
     pairs = tuple(
-        tuple(jsonio.matrix_from_pairs(get(entry, key, f"pair {i}")) for key in "ab")
+        tuple(factor(entry, key, f"pair {i}") for key in "ab")
         for i, entry in enumerate(get(doc, "pairs", "document"))
     )
     dims = {key: int(get(doc, key, "document")) for key in ("alice_dim", "bob_dim")}

@@ -26,7 +26,6 @@ import numpy as np
 from . import jsonio
 from .channels import (
     angle_channel,
-    check_completeness,
     entangled_pair_ket,
     protocol_from_json,
     resource_channel,
@@ -90,12 +89,16 @@ def parse_ket(text: str, dim: int | None = None) -> np.ndarray:
 def _load_json_state(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    arr = np.asarray(doc, dtype=float)
+    expected = f"{path}: expected a JSON ket or matrix of [re, im] pairs"
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:  # an object, a string, ragged rows
+        raise ValueError(expected) from exc
     if arr.ndim == 2 and arr.shape[1] == 2:  # ket: list of [re, im]
         return arr[:, 0] + 1j * arr[:, 1]
     if arr.ndim == 3 and arr.shape[2] == 2:  # matrix: rows of [re, im]
         return jsonio.matrix_from_pairs(doc)
-    raise ValueError(f"{path}: expected a JSON ket or matrix of [re, im] pairs")
+    raise ValueError(expected)
 
 
 def parse_state(text: str, dim: int) -> np.ndarray:
@@ -282,7 +285,7 @@ def cmd_dilate(args) -> int:
     doc = {
         "n_pairs": len(protocol),
         "env_dim": dil.env_dim,
-        "completeness_residual": check_completeness(protocol),
+        "completeness_residual": protocol.completeness_residual,
         "unitarity_residual": unitarity,
         "kraus_match_residual": worst,
         "probes": args.probes,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutingInputError, DegenerateInputError, DimensionError
-from .linalg import clamped_psd_eigenvalues, dagger, fix_phase, frobenius, psd_sqrt
+from .errors import CommutingInputError, DegenerateInputError, DimensionError, NotPositiveError
+from .linalg import PSD_CLAMP_TOL, dagger, fix_phase, frobenius, psd_sqrt
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -33,6 +33,8 @@ def check_pure_state(psi, dim: int | None = None) -> np.ndarray:
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if dim is not None and v.size != dim:
         raise DimensionError(f"expected a state of dim {dim}, got {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector has non-finite entries")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > STATE_ATOL:
         raise ValueError(f"state vector norm {norm:.12g} is not 1 within {STATE_ATOL:.0e}")
@@ -46,12 +48,19 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"density matrix must be square, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise DimensionError(f"expected dim {dim}, got {m.shape[0]}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     if frobenius(m - dagger(m)) > STATE_ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-10")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > STATE_ATOL:
         raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {STATE_ATOL:.0e}")
-    clamped_psd_eigenvalues(m)  # raises if an eigenvalue < -1e-10
+    # Hermiticity is settled above, so the eigenvalues alone decide positivity.
+    lowest = np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0]
+    if lowest < -PSD_CLAMP_TOL:
+        raise NotPositiveError(
+            f"eigenvalue {lowest:.3e} below the -{PSD_CLAMP_TOL:.0e} clamp threshold"
+        )
     return m
 
 

@@ -6,7 +6,6 @@ from qteleport.channels import (
     angle_channel,
     apply_kraus,
     apply_protocol,
-    check_completeness,
     dilate,
     entangled_pair_ket,
     protocol_from_json,
@@ -41,11 +40,11 @@ def identity_protocol():
 
 def test_completeness_identity_pair():
     p = LocalKrausProtocol(pairs=((I2, I2),), alice_dim=2, bob_dim=2)
-    assert check_completeness(p) == 0.0
+    assert p.completeness_residual == 0.0
 
 
 def test_completeness_bbcjpw():
-    assert check_completeness(bbcjpw_protocol()) <= 1e-12
+    assert bbcjpw_protocol().completeness_residual <= 1e-12
 
 
 def test_completeness_direct_summation():
@@ -60,7 +59,7 @@ def test_completeness_direct_summation():
 def test_completeness_deliberately_incomplete():
     p = LocalKrausProtocol(pairs=((I2 / 2, I2),), alice_dim=2, bob_dim=2)
     # sum is I/4 (x) I, so the residual is 0.75 * sqrt(dim)
-    assert abs(check_completeness(p) - 0.75 * 2.0) < 1e-12
+    assert abs(p.completeness_residual - 0.75 * 2.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

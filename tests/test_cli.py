@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qteleport
 from qteleport.cli import main, parse_state, parse_theta
 from qteleport.jsonio import matrix_to_pairs
 from qteleport.states import density_from_bloch
@@ -238,7 +243,7 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
 
 
 @pytest.mark.parametrize(
-    "argv, env_seed, protocol_doc",
+    "argv, env_seed, json_doc",
     [
         (["teleport", "--input", "0,0,1", "--channel-angle", "pi/0"], None, None),
         (["verify", "--suite", "linearity"], "abc", None),
@@ -251,22 +256,37 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
          None, None),
         (["entangle", "--angle", "0.1", "--tol-maximal", "5"], None, None),
         (["sweep", "--thetas", "pi/4", "--starts", "1", "--tol-maximal", "5"], None, None),
+        (["sweep", "--thetas", "pi/8", "--starts", "1", "--chi1", "nan,0",
+          "--output-format", "csv"], None, None),
+        (["teleport", "--input"], None, {"a": 1}),
+        (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": [{"a": 5, "b": 5}]}),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
-         "entangle-tol-maximal-out-of-range", "sweep-tol-maximal-out-of-range"],
+         "entangle-tol-maximal-out-of-range", "sweep-tol-maximal-out-of-range",
+         "sweep-nan-ket", "input-file-json-object", "protocol-pair-factor-number"],
 )
 def test_malformed_input_exits_2_without_traceback(
-    capsys, monkeypatch, tmp_path, argv, env_seed, protocol_doc
+    capsys, monkeypatch, tmp_path, argv, env_seed, json_doc
 ):
     if env_seed is not None:
         monkeypatch.setenv("QTELEPORT_SEED", env_seed)
-    if protocol_doc is not None:
-        path = tmp_path / "protocol.json"
-        path.write_text(json.dumps(protocol_doc))
+    if json_doc is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(json_doc))
         argv = [*argv, f"@{path}"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert "error:" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # the package runs on numpy alone; a fresh interpreter shows what it loads
+    src = str(Path(qteleport.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, qteleport.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

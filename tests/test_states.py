@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from qteleport.errors import CommutingInputError, DimensionError
+from qteleport.errors import CommutingInputError, DimensionError, NotPositiveError
 from qteleport.linalg import frobenius
 from qteleport.states import (
     SIGMA_X,
     bloch_from_density,
+    check_density_matrix,
+    check_pure_state,
     commutator_norm,
     density_from_bloch,
     extreme_decomposition,
@@ -245,3 +247,29 @@ def test_fidelity_symmetric_and_bounded():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionError):
         state_fidelity(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4)
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_check_pure_state_rejects_non_finite(bad):
+    # abs(nan - 1) > tol is False, so the norm test alone lets NaN through
+    with pytest.raises(ValueError, match="non-finite"):
+        check_pure_state([bad, 0], dim=2)
+
+
+def test_check_density_matrix_rejects_non_finite():
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = rho[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        check_density_matrix(rho)
+
+
+def test_check_density_matrix_positivity_threshold():
+    # trace 1 and Hermitian: only the lowest eigenvalue decides
+    with pytest.raises(NotPositiveError, match="below the -1e-10 clamp threshold"):
+        check_density_matrix(np.diag([1.0 + 1e-9, -1e-9]))
+    roundoff = np.diag([1.0 + 1e-11, -1e-11]).astype(complex)
+    assert check_density_matrix(roundoff) is not None
