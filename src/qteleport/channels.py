@@ -216,7 +216,6 @@ class Dilation:
 
     u: np.ndarray
     env_dim: int
-    env_initial_index: int = field(default=0)
 
     def system_dim(self) -> int:
         return self.u.shape[0] // self.env_dim
@@ -228,7 +227,7 @@ class Dilation:
         if rho.shape != (d, d):
             raise DimensionError(f"expected a system state of dim {d}, got {rho.shape}")
         env0 = np.zeros((self.env_dim, self.env_dim), dtype=np.complex128)
-        env0[self.env_initial_index, self.env_initial_index] = 1.0
+        env0[0, 0] = 1.0
         lifted = self.u @ kron(rho, env0) @ dagger(self.u)
         return partial_trace(lifted, [d, self.env_dim], keep={0})
 
@@ -238,9 +237,8 @@ def dilate(p: LocalKrausProtocol) -> Dilation:
 
     The environment dimension is the smallest power of two holding one
     orthonormal flag state per Kraus pair; completeness makes the
-    constructed columns orthonormal, and Gram-Schmidt over canonical basis
-    vectors (skipping those within 1e-8 of the running span) fills in the
-    rest deterministically.
+    constructed columns orthonormal, and the trailing columns of a complete
+    QR factorization of those columns fill in the rest deterministically.
     """
     require_complete(p)
     kraus = p.kraus
@@ -256,26 +254,9 @@ def dilate(p: LocalKrausProtocol) -> Dilation:
     images[:, :n, :] = kraus.transpose(1, 0, 2)
     u = np.zeros((total, total), dtype=np.complex128)
     u[:, ::env] = images.reshape(total, d)
-
-    filled = [x * env for x in range(d)]
-    basis = u[:, filled]  # orthonormal by completeness
-    free = [j for j in range(total) if j % env != 0]
-    cursor = 0
-    for j in free:
-        while True:
-            if cursor >= total:
-                raise ArithmeticError("ran out of candidate vectors completing the dilation")
-            cand = np.zeros(total, dtype=np.complex128)
-            cand[cursor] = 1.0
-            cursor += 1
-            w = cand - basis @ (dagger(basis) @ cand)
-            w = w - basis @ (dagger(basis) @ w)  # second pass for orthogonality
-            norm = np.linalg.norm(w)
-            if norm >= 1e-8:
-                w = w / norm
-                u[:, j] = w
-                basis = np.column_stack([basis, w])
-                break
+    # The last total - d columns of Q span the complement of those d columns.
+    q, _ = np.linalg.qr(u[:, ::env], mode="complete")
+    u[:, np.arange(total) % env != 0] = q[:, d:]
     return Dilation(u=u, env_dim=env)
 
 

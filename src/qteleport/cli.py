@@ -11,8 +11,8 @@ State grammar:
   matrix         rows ; entries ,     e.g.  1:0,0:0;0:0,0:0
   file           @path                JSON with [re, im] entry pairs
 
-The default seed comes from the QTELEPORT_SEED environment variable when
-set, else 0.
+verify, sweep and dilate take --seed; its default comes from the
+QTELEPORT_SEED environment variable when set, else 0.
 """
 
 import argparse
@@ -32,16 +32,11 @@ from .channels import (
 )
 from .entanglement import (
     DEFAULT_MAXIMAL_TOL,
-    check_maximal_tol,
+    check_tol,
     entanglement_report,
     is_maximally_entangled,
 )
-from .errors import (
-    CommutingInputError,
-    DegenerateInputError,
-    DimensionError,
-    IncompleteProtocolError,
-)
+from .errors import CommutingInputError
 from .linalg import frobenius, partial_trace
 from .states import (
     check_density_matrix,
@@ -69,8 +64,12 @@ def parse_theta(token: str) -> float:
         den = float(m.group(2)) if m.group(2) else 1.0
         if den == 0.0:
             raise ValueError(f"angle {token!r} divides by zero")
-        return num * np.pi / den
-    return float(token)
+        theta = num * np.pi / den
+    else:
+        theta = float(token)
+    if not np.isfinite(theta):
+        raise ValueError(f"angle {token!r} is not finite")
+    return theta
 
 
 def _parse_amplitude(token: str) -> complex:
@@ -182,6 +181,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_teleport(args) -> int:
+    check_tol(args.tol_exact)
     rho_in = parse_state(args.input, dim=2)
     if args.channel_pair is not None:
         channel = resource_channel(parse_state(args.channel_pair, dim=4))
@@ -243,7 +243,7 @@ def cmd_sweep(args) -> int:
     thetas = [parse_theta(t) for t in args.thetas.split(",")]
     chi1 = parse_ket(args.chi1, dim=2)
     chi2 = parse_ket(args.chi2, dim=2)
-    check_maximal_tol(args.tol_maximal)
+    check_tol(args.tol_maximal)
     rows = sweep_channel_angle(thetas, chi1, chi2, starts=args.starts, seed=args.seed)
     verdicts = []
     for row in rows:
@@ -299,12 +299,13 @@ def cmd_dilate(args) -> int:
 # parser
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED, "0")
+def _seed(text: str) -> int:
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        raise ValueError(f"{ENV_SEED}={raw!r} is not an integer seed") from None
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer seed (from --seed or ${ENV_SEED})"
+        ) from None
 
 
 def _non_negative_int(text: str) -> int:
@@ -320,9 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help=f"RNG seed (default: ${ENV_SEED} or 0)")
+    def add_common(p, seeded: bool):
+        if seeded:
+            # argparse converts a string default only for the chosen
+            # subcommand, so the others never read the environment variable
+            p.add_argument("--seed", type=_seed, default=os.environ.get(ENV_SEED, "0"),
+                           help=f"RNG seed (default: ${ENV_SEED} or 0)")
         p.add_argument("-o", "--output", default=None, help="write output to a file")
 
     p = sub.add_parser("decompose", help="two-state chord decomposition of a qubit pair")
@@ -330,31 +334,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bloch2", help="Bloch triple for the second state")
     p.add_argument("--rho1", help="first state (ket, matrix, or @file)")
     p.add_argument("--rho2", help="second state (ket, matrix, or @file)")
-    add_common(p)
+    add_common(p, seeded=False)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("teleport", help="run one teleportation and report fidelity")
     p.add_argument("--input", required=True, help="qubit to send (bloch, ket, matrix, @file)")
-    p.add_argument("--channel-angle", default="pi/4", help="resource angle (default pi/4)")
-    p.add_argument("--channel-pair", default=None,
-                   help="explicit A:B resource state instead of an angle")
+    channel = p.add_mutually_exclusive_group()
+    channel.add_argument("--channel-angle", default="pi/4", help="resource angle (default pi/4)")
+    channel.add_argument("--channel-pair", default=None,
+                         help="explicit A:B resource state instead of an angle")
     p.add_argument("--protocol", default="bbcjpw", help="bbcjpw, classical, or @file")
     p.add_argument("--basis", default=None, help="measurement basis for the classical protocol")
     p.add_argument("--tol-exact", type=float, default=TOL_EXACT)
-    add_common(p)
+    add_common(p, seeded=False)
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("entangle", help="entanglement measures of a two-qubit state")
     p.add_argument("--state", help="two-qubit state (ket, matrix, or @file)")
     p.add_argument("--angle", help="shortcut: cos/sin resource at this angle")
     p.add_argument("--tol-maximal", type=float, default=DEFAULT_MAXIMAL_TOL)
-    add_common(p)
+    add_common(p, seeded=False)
     p.set_defaults(func=cmd_entangle)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     p.add_argument("--suite", required=True,
                    choices=["linearity", "extreme-reduction", "dilation", "all"])
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="fidelity sweep against channel entanglement")
@@ -366,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=int, default=32)
     p.add_argument("--tol-maximal", type=float, default=DEFAULT_MAXIMAL_TOL)
     p.add_argument("--output-format", choices=["json", "csv"], default="json")
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dilate", help="dilation facts for a protocol")
     p.add_argument("--protocol", default="bbcjpw", help="bbcjpw, classical, or @file")
     p.add_argument("--basis", default=None, help="measurement basis for the classical protocol")
     p.add_argument("--probes", type=_non_negative_int, default=10)
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_dilate)
 
     return parser
@@ -388,13 +393,7 @@ def main(argv=None) -> int:
     except CommutingInputError as exc:
         print(f"error: {exc} (commutator norm {exc.commutator_norm:.17g})", file=sys.stderr)
         return 2
-    except (
-        DimensionError,
-        DegenerateInputError,
-        IncompleteProtocolError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from .channels import LocalKrausProtocol, angle_channel, entangled_pair_ket
 from .entanglement import entropy_of_entanglement
 from .errors import DimensionError
 from .linalg import eig_hermitian
-from .states import check_density_matrix, check_pure_state
+from .states import check_density_matrix, check_nonorthogonal_pair
 from .teleport import receiver_factor
 
 N_ALICE_PARAMS = 16
@@ -98,12 +98,8 @@ def decode_alice_unitary(alice_params) -> np.ndarray:
 
 
 def decode_bob_unitaries(bob_params) -> np.ndarray:
-    """Axis-angle triples -> stacked 2x2 special unitaries, smooth at zero."""
-    return _bob_unitaries(np.asarray(bob_params, dtype=float).reshape(4, 3))
-
-
-def _bob_unitaries(w: np.ndarray) -> np.ndarray:
-    """2x2 special unitaries of shape (..., 2, 2) from triples (..., 3)."""
+    """Axis-angle triples (..., 3) -> 2x2 special unitaries (..., 2, 2), smooth at zero."""
+    w = np.asarray(bob_params, dtype=float)
     batch = w.shape[:-1]
     w = w.reshape(-1, 3)
     alpha = np.sqrt((w * w).sum(axis=1))
@@ -129,12 +125,9 @@ def decode_protocol(params: ProtocolParams) -> LocalKrausProtocol:
     if not np.all(np.isfinite(vec)):
         raise ValueError("protocol parameters contain non-finite values")
     u = decode_alice_unitary(params.alice_params)
-    bobs = decode_bob_unitaries(params.bob_params)
-    pairs = []
-    for i in range(4):
-        col = u[:, i]
-        pairs.append((np.outer(col, col.conj()), receiver_factor(bobs[i])))
-    return LocalKrausProtocol(pairs=tuple(pairs), alice_dim=4, bob_dim=4)
+    bobs = receiver_factor(decode_bob_unitaries(params.bob_params))
+    pairs = tuple((np.outer(col, col.conj()), b) for col, b in zip(u.T, bobs))
+    return LocalKrausProtocol(pairs=pairs, alice_dim=4, bob_dim=4)
 
 
 # Sender parameters of the Bell measurement: the Hermitian logarithm of
@@ -179,9 +172,7 @@ class _PairObjective:
         rhos = np.asarray(channel_rho)
         if rhos.ndim == 2:
             rhos = rhos[None]
-        chis = [check_pure_state(chi1, dim=2), check_pure_state(chi2, dim=2)]
-        if abs(np.vdot(*chis)) <= 1e-8:
-            raise ValueError("state pair must be non-orthogonal")
+        chis = check_nonorthogonal_pair(chi1, chi2)
         eigs = [eig_hermitian(check_density_matrix(rho, dim=8)) for rho in rhos]
         keeps = [eig.eigenvalues > 1e-12 for eig in eigs]
         rank = max(int(keep.sum()) for keep in keeps)
@@ -209,12 +200,8 @@ class _PairObjective:
         bit for bit."""
         points = np.asarray(points, dtype=float)
         u_dag = decode_alice_unitary(points[:, :N_ALICE_PARAMS]).conj().swapaxes(-1, -2)
-        bobs = _bob_unitaries(points[:, N_ALICE_PARAMS:].reshape(-1, 4, 3))
-        # receiver factor per outcome, kron(I, U) @ SWAP: the 2x2 unitary
-        # fills rows 0-1 at columns 0, 2 and rows 2-3 at columns 1, 3
-        bstack = np.zeros(bobs.shape[:2] + (4, 4), dtype=np.complex128)
-        bstack[..., 0:2, 0::2] = bobs
-        bstack[..., 2:4, 1::2] = bobs
+        bobs = decode_bob_unitaries(points[:, N_ALICE_PARAMS:].reshape(-1, 4, 3))
+        bstack = receiver_factor(bobs)
 
         # axes (state j, channel term k, row b, ...)
         rows = u_dag @ self.v4[:, :, channel_index]     # row i: <c_i| V4
@@ -248,11 +235,16 @@ class OptResult:
     converged: bool
 
 
+# Convergence thresholds: simplex diameter and objective spread.
+TOL_X = 1e-8
+TOL_F = 1e-10
+
+
 def nelder_mead(
     objective,
     init,
-    tol_x: float = 1e-8,
-    tol_f: float = 1e-10,
+    tol_x: float = TOL_X,
+    tol_f: float = TOL_F,
     max_evals: int = 20000,
     initial_step: float = 0.1,
 ) -> OptResult:
@@ -264,12 +256,8 @@ def nelder_mead(
     ``max_evals`` first reports converged=False rather than raising.
     """
     search = _simplex_search(init, tol_x, tol_f, max_evals, initial_step)
-    try:
-        points = next(search)
-        while True:
-            points = search.send([float(objective(x)) for x in points])
-    except StopIteration as stop:
-        return stop.value
+    [result] = _lockstep(lambda points, _: np.array([float(objective(x)) for x in points]), [search])
+    return result
 
 
 def _simplex_search(init, tol_x, tol_f, max_evals, initial_step):
@@ -350,7 +338,7 @@ def _simplex_search(init, tol_x, tol_f, max_evals, initial_step):
 _RESTART_LADDER = ((0.1, 0.4), (0.7, 0.2), (0.1, 0.2), (0.02, 1.0))
 
 
-def _polished_run(start, tol_x, tol_f, max_evals):
+def _polished_run(start, max_evals):
     """One multistart leg: a ladder of simplex searches within a shared
     budget, as a generator of point requests like ``_simplex_search``.
 
@@ -366,7 +354,7 @@ def _polished_run(start, tol_x, tol_f, max_evals):
         if remaining <= 0:
             break
         budget = min(remaining, max(1, int(max_evals * share)))
-        result = yield from _simplex_search(point, tol_x, tol_f, budget, step)
+        result = yield from _simplex_search(point, TOL_X, TOL_F, budget, step)
         total += result.evaluations
         remaining -= result.evaluations
         if best is None or result.best_objective > best.best_objective:
@@ -382,14 +370,14 @@ def _polished_run(start, tol_x, tol_f, max_evals):
     )
 
 
-def _lockstep(objective: _PairObjective, searches, channel_index) -> list[OptResult]:
+def _lockstep(evaluate, searches) -> list[OptResult]:
     """Step every search together; return their results in order.
 
     Each round concatenates the points every unfinished search asked for
-    into one batched objective call, each row tagged with its search's
-    channel, and sends each search its slice of the values. A search sees
-    exactly the values a scalar evaluation would give, so its trajectory
-    does not depend on which other searches share the batch.
+    into one call ``evaluate(points, owners)``, where ``owners[r]`` is the
+    index of the search that asked for row r, and sends each search its
+    slice of the values. When ``evaluate`` scores each row on its own, a
+    search's trajectory does not depend on which others share the batch.
     """
     results = [None] * len(searches)
     requests = {}
@@ -407,7 +395,7 @@ def _lockstep(objective: _PairObjective, searches, channel_index) -> list[OptRes
         ids = list(requests)
         batch = [requests[i] for i in ids]
         sizes = [len(points) for points in batch]
-        values = objective.evaluate(np.concatenate(batch), np.repeat(channel_index[ids], sizes))
+        values = evaluate(np.concatenate(batch), np.repeat(ids, sizes))
         end = 0
         for i, size in zip(ids, sizes):
             advance(i, values[end:end + size])
@@ -456,8 +444,6 @@ def sweep_channel_angle(
     chi2,
     starts: int = 32,
     seed=0,
-    tol_x: float = 1e-8,
-    tol_f: float = 1e-10,
     max_evals: int = 20000,
 ) -> list[SweepRow]:
     """Best worst-case pair fidelity per resource angle, multistart simplex.
@@ -483,8 +469,11 @@ def sweep_channel_angle(
         rng = np.random.default_rng(theta_seeds[idx])
         start_points = [bbcjpw_equivalent_params().as_vector()]
         start_points.extend(stratified_starts(starts - 1, rng))
-        searches.extend(_polished_run(p, tol_x, tol_f, max_evals) for p in start_points)
-    results = _lockstep(objective, searches, np.repeat(np.arange(len(order)), starts))
+        searches.extend(_polished_run(p, max_evals) for p in start_points)
+    channel_index = np.repeat(np.arange(len(order)), starts)
+    results = _lockstep(
+        lambda points, owners: objective.evaluate(points, channel_index[owners]), searches
+    )
 
     rows = []
     for a, idx in enumerate(order):

@@ -26,6 +26,7 @@ STATE_ATOL = 1e-10
 # Frobenius commutator norms below this count as commuting; near-parallel
 # Bloch vectors make the chord geometry ill-conditioned.
 COMMUTING_TOL = 1e-8
+ORTHOGONAL_TOL = 1e-8
 
 
 def check_pure_state(psi, dim: int | None = None) -> np.ndarray:
@@ -39,6 +40,15 @@ def check_pure_state(psi, dim: int | None = None) -> np.ndarray:
     if abs(norm - 1.0) > STATE_ATOL:
         raise ValueError(f"state vector norm {norm:.12g} is not 1 within {STATE_ATOL:.0e}")
     return v
+
+
+def check_nonorthogonal_pair(chi1, chi2) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two qubit kets; reject them if |<chi1|chi2>| <= ORTHOGONAL_TOL."""
+    v1, v2 = check_pure_state(chi1, dim=2), check_pure_state(chi2, dim=2)
+    overlap = abs(np.vdot(v1, v2))
+    if overlap <= ORTHOGONAL_TOL:
+        raise ValueError(f"state pair must be non-orthogonal (|<chi1|chi2>| = {overlap:.3e})")
+    return v1, v2
 
 
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:

@@ -30,6 +30,7 @@ from .channels import (
 from .linalg import kron
 from .states import (
     check_density_matrix,
+    check_nonorthogonal_pair,
     check_pure_state,
     extreme_decomposition,
     ExtremeDecomposition,
@@ -42,10 +43,6 @@ from .states import (
 )
 
 TOL_EXACT = 1e-9
-
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 _ID2 = np.eye(2, dtype=complex)
 
@@ -71,18 +68,27 @@ def bell_unitary() -> np.ndarray:
 BELL_CORRECTIONS = (_ID2, SIGMA_Z, SIGMA_X, SIGMA_Y)
 
 
-def receiver_factor(correction: np.ndarray) -> np.ndarray:
-    """Receiver operator on (B, 2): route B into 2, then correct 2."""
-    return kron(_ID2, np.asarray(correction, dtype=complex)) @ SWAP
+def receiver_factor(correction) -> np.ndarray:
+    """Receiver operator on (B, 2): route B into 2, then correct 2.
+
+    This is kron(I, U) @ SWAP, built by placement: U fills rows 0-1 at
+    columns 0, 2 and rows 2-3 at columns 1, 3. Takes one 2x2 U or a stack
+    of shape (..., 2, 2).
+    """
+    u = np.asarray(correction, dtype=np.complex128) + 0.0  # -0.0 (as in -1j) -> 0.0
+    out = np.zeros(u.shape[:-2] + (4, 4), dtype=np.complex128)
+    out[..., 0:2, 0::2] = u
+    out[..., 2:4, 1::2] = u
+    return out
 
 
 def bbcjpw_protocol() -> LocalKrausProtocol:
     """Bell measurement on (1, A) with the matching Pauli correction on 2."""
-    pairs = []
-    for ket, corr in zip(bell_states(), BELL_CORRECTIONS):
-        projector = np.outer(ket, ket.conj())
-        pairs.append((projector, receiver_factor(corr)))
-    return LocalKrausProtocol(pairs=tuple(pairs), alice_dim=4, bob_dim=4)
+    pairs = tuple(
+        (np.outer(ket, ket.conj()), b)
+        for ket, b in zip(bell_states(), receiver_factor(np.array(BELL_CORRECTIONS)))
+    )
+    return LocalKrausProtocol(pairs=pairs, alice_dim=4, bob_dim=4)
 
 
 def classical_commuting_protocol(basis) -> LocalKrausProtocol:
@@ -171,14 +177,7 @@ def linearity_check(
     on all superpositions, linearity has nothing to hide; any inexact
     superposition outcome exhibits the failure directly.
     """
-    v1 = check_pure_state(chi1, dim=2)
-    v2 = check_pure_state(chi2, dim=2)
-    overlap = abs(np.vdot(v1, v2))
-    if overlap <= 1e-8:
-        raise ValueError(
-            f"input states are orthogonal (|<chi1|chi2>| = {overlap:.3e}); "
-            "the propagation statement needs a non-orthogonal pair"
-        )
+    v1, v2 = check_nonorthogonal_pair(chi1, chi2)
     rho_ch = check_density_matrix(channel_rho, dim=8)
     require_teleport_protocol(p)
     outcomes = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qteleport
-from qteleport.cli import main, parse_state, parse_theta
+from qteleport.cli import build_parser, main, parse_state, parse_theta
 from qteleport.jsonio import matrix_to_pairs
 from qteleport.states import density_from_bloch
 
@@ -260,11 +260,20 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
           "--output-format", "csv"], None, None),
         (["teleport", "--input"], None, {"a": 1}),
         (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": [{"a": 5, "b": 5}]}),
+        (["teleport", "--input", "0,0,1", "--channel-angle", "inf"], None, None),
+        (["entangle", "--angle", "inf"], None, None),
+        (["teleport", "--input", "1,0,0", "--protocol", "classical", "--channel-angle", "0.3",
+          "--tol-exact", "0.6"], None, None),
+        (["teleport", "--input", "1,0,0", "--tol-exact", "nan"], None, None),
+        (["teleport", "--input", "0,0,1", "--channel-angle", "pi/8",
+          "--channel-pair", "1:0,0:0,0:0,0:0"], None, None),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
          "entangle-tol-maximal-out-of-range", "sweep-tol-maximal-out-of-range",
-         "sweep-nan-ket", "input-file-json-object", "protocol-pair-factor-number"],
+         "sweep-nan-ket", "input-file-json-object", "protocol-pair-factor-number",
+         "teleport-angle-inf", "entangle-angle-inf", "tol-exact-out-of-range", "tol-exact-nan",
+         "channel-angle-and-pair"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, json_doc
@@ -279,7 +288,27 @@ def test_malformed_input_exits_2_without_traceback(
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+    assert "Warning" not in err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--bloch1", "0,0,0.5", "--bloch2", "0.5,0,0"],
+        ["teleport", "--input", "0,0,1"],
+        ["entangle", "--angle", "pi/8"],
+    ],
+    ids=["decompose", "teleport", "entangle"],
+)
+def test_unseeded_subcommands_ignore_env_seed(capsys, monkeypatch, argv):
+    monkeypatch.setenv("QTELEPORT_SEED", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    json.loads(out)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*argv, "--seed", "1"])
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,7 +1,8 @@
-"""Invariants of the Kraus kernel checked over generated seeds."""
+"""Invariants of the Kraus kernel, the entanglement measures and the chord
+decomposition, checked over generated seeds."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qteleport.channels import (
@@ -13,8 +14,14 @@ from qteleport.channels import (
     random_local_protocol,
     resource_channel,
 )
+from qteleport.entanglement import concurrence, entanglement_of_formation, fully_entangled_fraction
 from qteleport.linalg import frobenius, kron
-from qteleport.states import random_density_matrix
+from qteleport.states import (
+    commutator_norm,
+    extreme_decomposition,
+    random_density_matrix,
+    random_unitary,
+)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 FACTOR_DIMS = st.sampled_from([2, 4])
@@ -53,3 +60,31 @@ def test_dilation_reproduces_the_kraus_kernel(seed, alice_dim, bob_dim, n_pairs)
     p = random_local_protocol(rng, alice_dim, bob_dim, n_pairs)
     rho = random_density_matrix(alice_dim * bob_dim, rng)
     assert frobenius(dilate(p).apply(rho) - apply_kraus(p, rho)) < 1e-9
+
+
+@PROPERTY
+@given(seed=SEEDS, rank=st.integers(min_value=1, max_value=4))
+def test_entanglement_measures_are_local_unitary_invariant(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(4, rng, rank=rank)
+    w = kron(random_unitary(2, rng), random_unitary(2, rng))
+    moved = w @ rho @ w.conj().T
+    for measure in (concurrence, entanglement_of_formation, fully_entangled_fraction):
+        assert abs(measure(moved) - measure(rho)) < 1e-9
+
+
+@PROPERTY
+@given(seed=SEEDS, rank1=st.integers(min_value=1, max_value=2))
+def test_chord_decomposition_is_unitarily_covariant(seed, rank1):
+    rng = np.random.default_rng(seed)
+    rho1 = random_density_matrix(2, rng, rank=rank1)
+    rho2 = random_density_matrix(2, rng)
+    assume(commutator_norm(rho1, rho2) > 1e-3)
+    u = random_unitary(2, rng)
+    dec = extreme_decomposition(rho1, rho2)
+    rot = extreme_decomposition(u @ rho1 @ u.conj().T, u @ rho2 @ u.conj().T)
+    assert abs(rot.lam1 - dec.lam1) < 1e-9
+    assert abs(rot.lam2 - dec.lam2) < 1e-9
+    # the chord states move with u, up to a global phase
+    assert abs(abs(np.vdot(rot.psi, u @ dec.psi)) - 1) < 1e-9
+    assert abs(abs(np.vdot(rot.phi, u @ dec.phi)) - 1) < 1e-9

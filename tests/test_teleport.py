@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from qteleport.channels import angle_channel, apply_protocol, resource_channel, teleported_output
+from qteleport.channels import (
+    angle_channel,
+    apply_protocol,
+    protocol_to_json,
+    resource_channel,
+    teleported_output,
+)
 from qteleport.entanglement import concurrence
 from qteleport.errors import CommutingInputError
 from qteleport.linalg import frobenius, partial_trace
@@ -9,9 +17,11 @@ from qteleport.states import (
     density_from_bloch,
     haar_random_pure,
     pure_density,
+    random_unitary,
     state_fidelity,
 )
 from qteleport.teleport import (
+    BELL_CORRECTIONS,
     average_fidelity,
     bbcjpw_protocol,
     bell_states,
@@ -20,6 +30,7 @@ from qteleport.teleport import (
     linearity_check,
     normalized_superposition,
     product_channel,
+    receiver_factor,
     run_teleport,
     superposition_state,
 )
@@ -86,6 +97,26 @@ def test_bell_corrections_pair_correctly():
         assert abs(prob - 0.25) < 1e-10
         reduced = teleported_output(branch / prob)
         assert frobenius(reduced - pure_density(chi)) < 1e-9
+
+
+def test_receiver_factor_is_swap_then_correction_bit_for_bit():
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+    rng = np.random.default_rng(11)
+    us = np.array([random_unitary(2, rng) for _ in range(12)] + list(BELL_CORRECTIONS))
+    expected = np.array([np.kron(np.eye(2), u) @ swap for u in us])
+    assert receiver_factor(us).tobytes() == expected.tobytes()
+    assert receiver_factor(us.reshape(2, 8, 2, 2)).tobytes() == expected.tobytes()
+    assert receiver_factor(us[-1]).tobytes() == expected[-1].tobytes()
+
+
+def test_bbcjpw_protocol_json_is_pinned():
+    text = protocol_to_json(bbcjpw_protocol())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6a03f2ed2fcb8d03ae1c4d29ce3e8b51958a7101c326ff90ee711e3d9cac9fd1"
+    )
+    # SIGMA_Y's -1j carries a -0.0 real part; no receiver factor may keep it
+    for _, b in bbcjpw_protocol().pairs:
+        assert not np.signbit(b.view(float)[b.view(float) == 0.0]).any()
 
 
 # ---------------------------------------------------------------------------
