@@ -255,8 +255,10 @@ def nelder_mead(
     ``tol_x`` or the objective spread below ``tol_f``; hitting
     ``max_evals`` first reports converged=False rather than raising.
     """
-    search = _simplex_search(init, tol_x, tol_f, max_evals, initial_step)
-    [result] = _lockstep(lambda points, _: np.array([float(objective(x)) for x in points]), [search])
+    def evaluate(points, _owners):
+        return np.array([float(objective(x)) for x in points])
+
+    [result] = _lockstep(evaluate, [_simplex_search(init, tol_x, tol_f, max_evals, initial_step)])
     return result
 
 
