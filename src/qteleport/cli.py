@@ -120,6 +120,8 @@ def parse_state(text: str, dim: int) -> np.ndarray:
 
 
 def parse_protocol(spec: str, basis: str | None):
+    if basis is not None and spec != "classical":
+        raise ValueError("--basis applies only to --protocol classical")
     if spec == "bbcjpw":
         return bbcjpw_protocol()
     if spec == "classical":
@@ -155,16 +157,14 @@ def _emit_json(doc: dict, path: str | None) -> None:
 
 
 def cmd_decompose(args) -> int:
-    if (args.bloch1 is None) != (args.bloch2 is None):
-        raise ValueError("give both --bloch1 and --bloch2, or both --rho1 and --rho2")
-    if args.bloch1 is not None:
-        rho1 = density_from_bloch([float(t) for t in args.bloch1.split(",")])
-        rho2 = density_from_bloch([float(t) for t in args.bloch2.split(",")])
-    elif args.rho1 is not None and args.rho2 is not None:
-        rho1 = parse_state(args.rho1, dim=2)
-        rho2 = parse_state(args.rho2, dim=2)
+    bloch, rho = (args.bloch1, args.bloch2), (args.rho1, args.rho2)
+    given = [pair for pair in (bloch, rho) if pair != (None, None)]
+    if len(given) != 1 or None in given[0]:
+        raise ValueError("decompose needs --bloch1 and --bloch2, or --rho1 and --rho2, not both")
+    if given[0] is bloch:
+        rho1, rho2 = (density_from_bloch([float(t) for t in b.split(",")]) for b in bloch)
     else:
-        raise ValueError("decompose needs --bloch1/--bloch2 or --rho1/--rho2")
+        rho1, rho2 = (parse_state(r, dim=2) for r in rho)
     dec = extreme_decomposition(rho1, rho2)
     doc = {
         "psi": [jsonio.complex_pair(z) for z in dec.psi],
@@ -202,10 +202,8 @@ def cmd_teleport(args) -> int:
 def cmd_entangle(args) -> int:
     if args.angle is not None:
         rho = pure_density(entangled_pair_ket(parse_theta(args.angle)))
-    elif args.state is not None:
-        rho = parse_state(args.state, dim=4)
     else:
-        raise ValueError("entangle needs --state or --angle")
+        rho = parse_state(args.state, dim=4)
     report = entanglement_report(rho, tol=args.tol_maximal)
     doc = {
         "entropy": report.entropy,
@@ -350,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_teleport)
 
     p = sub.add_parser("entangle", help="entanglement measures of a two-qubit state")
-    p.add_argument("--state", help="two-qubit state (ket, matrix, or @file)")
-    p.add_argument("--angle", help="shortcut: cos/sin resource at this angle")
+    resource = p.add_mutually_exclusive_group(required=True)
+    resource.add_argument("--state", help="two-qubit state (ket, matrix, or @file)")
+    resource.add_argument("--angle", help="shortcut: cos/sin resource at this angle")
     p.add_argument("--tol-maximal", type=float, default=DEFAULT_MAXIMAL_TOL)
     add_common(p, seeded=False)
     p.set_defaults(func=cmd_entangle)

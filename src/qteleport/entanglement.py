@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import clamped_psd_eigenvalues, dagger, eig_hermitian, psd_sqrt
+from .linalg import dagger, eig_hermitian, psd_sqrt
 from .states import SIGMA_Y, check_density_matrix, check_pure_state
 
 DEFAULT_MAXIMAL_TOL = 1e-6
@@ -27,6 +27,8 @@ _MAGIC_BASIS = np.array(
     ],
     dtype=np.complex128,
 ).T / np.sqrt(2.0)
+
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 def binary_entropy(x: float) -> float:
@@ -84,26 +86,18 @@ def entropy_of_entanglement(psi, dims: tuple[int, int]) -> float:
     return float(-np.sum(probs * np.log2(probs)))
 
 
-def _spin_flip(rho: np.ndarray) -> np.ndarray:
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    return yy @ rho.conj() @ yy
-
-
 def concurrence(rho) -> float:
     """Wootters concurrence of a two-qubit state.
 
     C = max(0, m1 - m2 - m3 - m4) where the m_k are the descending square
-    roots of the eigenvalues of rho (sy(x)sy) rho* (sy(x)sy). Conjugation
-    is entrywise in the computational basis. Computed through the
-    Hermitian form sqrt(rho) rho~ sqrt(rho), which shares those
-    eigenvalues.
+    roots of the eigenvalues of rho (sy(x)sy) rho* (sy(x)sy), conjugation
+    entrywise in the computational basis (Wootters, PRL 80, 2245 (1998)).
+    They are the singular values of sqrt(rho) (sy(x)sy) sqrt(rho)*, so one
+    square root and one SVD give them.
     """
-    m = check_density_matrix(rho, dim=4)
-    root = psd_sqrt(m)
-    herm = root @ _spin_flip(m) @ root
-    vals = clamped_psd_eigenvalues((herm + dagger(herm)) / 2.0).eigenvalues
-    mu = np.sqrt(np.sort(vals)[::-1])
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    root = psd_sqrt(check_density_matrix(rho, dim=4))
+    m = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return float(max(0.0, m[0] - m[1] - m[2] - m[3]))
 
 
 def _eof_from_concurrence(c: float) -> float:

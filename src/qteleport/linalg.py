@@ -133,29 +133,22 @@ def eig_hermitian(h: np.ndarray) -> HermitianEigen:
     return HermitianEigen(eigenvalues=vals, eigenvectors=vecs)
 
 
-def clamped_psd_eigenvalues(h: np.ndarray) -> HermitianEigen:
-    """Like eig_hermitian, but clamp eigenvalues in [-1e-10, 0) to zero.
+def psd_sqrt(p: np.ndarray) -> np.ndarray:
+    """Hermitian PSD square root: result @ result == p.
 
-    Raises NotPositiveError for anything more negative than that.
-    Eigenvalues inside the solver's numerical-zero band (dim * eps * max)
-    are snapped to exact zeros so that rank-deficient inputs don't leak
-    sqrt(eps)-sized noise into downstream square roots.
+    Eigenvalues in [-1e-10, 0) are roundoff and clamp to zero; anything more
+    negative raises NotPositiveError. Eigenvalues inside the solver's
+    numerical-zero band (dim * eps * max) are snapped to exact zeros so that
+    rank-deficient inputs don't leak sqrt(eps)-sized noise into the root.
     """
-    eig = eig_hermitian(h)
-    vals = eig.eigenvalues.copy()
+    eig = eig_hermitian(p)
+    vals = eig.eigenvalues
     if vals[0] < -PSD_CLAMP_TOL:
         raise NotPositiveError(
             f"eigenvalue {vals[0]:.3e} below the -{PSD_CLAMP_TOL:.0e} clamp threshold"
         )
     np.clip(vals, 0.0, None, out=vals)
-    tiny = vals[-1] * vals.size * np.finfo(float).eps
-    vals[vals < tiny] = 0.0
-    return HermitianEigen(eigenvalues=vals, eigenvectors=eig.eigenvectors)
-
-
-def psd_sqrt(p: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root: result @ result == p."""
-    eig = clamped_psd_eigenvalues(p)
+    vals[vals < vals[-1] * vals.size * np.finfo(float).eps] = 0.0
     v = eig.eigenvectors
-    root = (v * np.sqrt(eig.eigenvalues)) @ dagger(v)
+    root = (v * np.sqrt(vals)) @ dagger(v)
     return (root + dagger(root)) / 2.0

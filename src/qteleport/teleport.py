@@ -36,7 +36,7 @@ from .states import (
     ExtremeDecomposition,
     haar_random_pure,
     pure_density,
-    state_fidelity,
+    qubit_fidelity,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -139,7 +139,7 @@ def run_teleport(input_rho, channel_rho, p: LocalKrausProtocol, intended) -> Tel
 def _score(joint, intended) -> TeleportOutcome:
     """Score the particle-2 marginal of a protocol output; inputs already checked."""
     output = teleported_output(joint)
-    fidelity = state_fidelity(intended, output)
+    fidelity = qubit_fidelity(intended, output)
     return TeleportOutcome(output=output, fidelity=fidelity, exact=fidelity >= 1.0 - TOL_EXACT)
 
 

@@ -57,6 +57,23 @@ def qubit_eigvals_charpoly(rho: np.ndarray) -> np.ndarray:
     return np.array([(tr - disc) / 2.0, (tr + disc) / 2.0])
 
 
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 as the squared nuclear norm of
+    sqrt(sigma) sqrt(rho), for states of any dimension.
+
+    Eigenvalues below dim * eps * max are zeroed before the square roots, so
+    a rank-deficient state adds no sqrt(eps)-sized singular values.
+    """
+
+    def root(m):
+        vals, vecs = np.linalg.eigh(m)
+        vals = np.clip(vals, 0.0, None)
+        vals[vals < vals[-1] * vals.size * np.finfo(float).eps] = 0.0
+        return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+    return float(np.sum(np.linalg.svd(root(sigma) @ root(rho), compute_uv=False)) ** 2)
+
+
 def chord_sphere_points(r1, r2):
     """Both unit-sphere intersections of the line through r1 and r2.
 

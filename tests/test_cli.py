@@ -267,13 +267,19 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
         (["teleport", "--input", "1,0,0", "--tol-exact", "nan"], None, None),
         (["teleport", "--input", "0,0,1", "--channel-angle", "pi/8",
           "--channel-pair", "1:0,0:0,0:0,0:0"], None, None),
+        (["entangle", "--state", "1,0,0,0", "--angle", "pi/4"], None, None),
+        (["decompose", "--bloch1", "0,0,0.5", "--bloch2", "0.5,0,0",
+          "--rho1", "1,0", "--rho2", "0,1"], None, None),
+        (["teleport", "--input", "0,0,1", "--basis", "1,0;0,1"], None, None),
+        (["dilate", "--basis", "1,0;0,1"], None, None),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
          "entangle-tol-maximal-out-of-range", "sweep-tol-maximal-out-of-range",
          "sweep-nan-ket", "input-file-json-object", "protocol-pair-factor-number",
          "teleport-angle-inf", "entangle-angle-inf", "tol-exact-out-of-range", "tol-exact-nan",
-         "channel-angle-and-pair"],
+         "channel-angle-and-pair", "entangle-state-and-angle", "decompose-bloch-and-rho",
+         "teleport-basis-without-classical", "dilate-basis-without-classical"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, json_doc

@@ -1,5 +1,5 @@
-"""Invariants of the Kraus kernel, the entanglement measures and the chord
-decomposition, checked over generated seeds."""
+"""Invariants of the Kraus kernel, the entanglement measures, the chord
+decomposition and the qubit fidelity, checked over generated seeds."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -19,9 +19,14 @@ from qteleport.linalg import frobenius, kron
 from qteleport.states import (
     commutator_norm,
     extreme_decomposition,
+    haar_random_pure,
+    pure_density,
     random_density_matrix,
     random_unitary,
+    state_fidelity,
 )
+
+from oracles import uhlmann_fidelity
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 FACTOR_DIMS = st.sampled_from([2, 4])
@@ -88,3 +93,25 @@ def test_chord_decomposition_is_unitarily_covariant(seed, rank1):
     # the chord states move with u, up to a global phase
     assert abs(abs(np.vdot(rot.psi, u @ dec.psi)) - 1) < 1e-9
     assert abs(abs(np.vdot(rot.phi, u @ dec.phi)) - 1) < 1e-9
+
+
+QUBIT_RANKS = st.integers(min_value=1, max_value=2)
+
+
+@PROPERTY
+@given(seed=SEEDS, rank1=QUBIT_RANKS, rank2=QUBIT_RANKS)
+def test_qubit_fidelity_matches_the_uhlmann_formula(seed, rank1, rank2):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(2, rng, rank=rank1)
+    sigma = random_density_matrix(2, rng, rank=rank2)
+    assert abs(state_fidelity(rho, sigma) - uhlmann_fidelity(rho, sigma)) < 1e-12
+
+
+@PROPERTY
+@given(seed=SEEDS, rank=QUBIT_RANKS)
+def test_fidelity_with_a_pure_state_is_its_expectation(seed, rank):
+    rng = np.random.default_rng(seed)
+    psi = haar_random_pure(2, rng)
+    sigma = random_density_matrix(2, rng, rank=rank)
+    expectation = np.vdot(psi, sigma @ psi).real
+    assert abs(state_fidelity(pure_density(psi), sigma) - expectation) < 1e-12

@@ -212,8 +212,8 @@ def test_haar_rotation_invariance_statistical():
 
 def test_fidelity_identical_states():
     rng = np.random.default_rng(25)
-    for dim in (2, 4):
-        rho = random_density_matrix(dim, rng)
+    for rank in (1, 2):
+        rho = random_density_matrix(2, rng, rank=rank)
         assert abs(state_fidelity(rho, rho) - 1) < 1e-12
 
 
@@ -237,8 +237,8 @@ def test_fidelity_pure_reduces_to_expectation():
 def test_fidelity_symmetric_and_bounded():
     rng = np.random.default_rng(27)
     for _ in range(20):
-        a = random_density_matrix(4, rng)
-        b = random_density_matrix(4, rng)
+        a = random_density_matrix(2, rng)
+        b = random_density_matrix(2, rng)
         f1, f2 = state_fidelity(a, b), state_fidelity(b, a)
         assert abs(f1 - f2) < 1e-10
         assert 0.0 <= f1 <= 1.0 + 1e-10
@@ -247,6 +247,30 @@ def test_fidelity_symmetric_and_bounded():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionError):
         state_fidelity(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4)
+
+
+def test_fidelity_rejects_two_qubit_states():
+    # the closed form is qubit-only, so a 4x4 pair is refused, not scored
+    rho = np.eye(4, dtype=complex) / 4
+    with pytest.raises(DimensionError):
+        state_fidelity(rho, rho)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.diag([1.1, -0.1]),
+        np.array([[np.nan, 0.0], [0.0, 0.5]]),
+        np.diag([0.6, 0.6]),
+    ],
+    ids=["non-hermitian", "negative", "non-finite", "trace-not-1"],
+)
+def test_fidelity_rejects_invalid_states(bad):
+    good = np.eye(2, dtype=complex) / 2
+    for args in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError):
+            state_fidelity(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from qteleport.teleport import (
     superposition_state,
 )
 
-from oracles import haar_average_fidelity
+from oracles import bloch_of, haar_average_fidelity
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -83,6 +83,20 @@ def test_bbcjpw_partial_channel_equatorial_fidelity():
         out = run_teleport(pure_density(PLUS), angle_channel(theta), bbcjpw_protocol(),
                            pure_density(PLUS))
         assert abs(out.fidelity - (1 + np.sin(2 * theta)) / 2) < 1e-10
+
+
+def test_bbcjpw_pure_fidelity_closed_form_on_the_grid():
+    # the cos/sin resource shrinks the Bloch x and y components by sin 2t, so
+    # a pure input (x, y, z) comes out at fidelity 1 - (1 - sin 2t)(x^2 + y^2)/2
+    p = bbcjpw_protocol()
+    for theta in (np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4):
+        channel = angle_channel(theta)
+        for seed in range(16):
+            rho = pure_density(haar_random_pure(2, seed))
+            x, y, _ = bloch_of(rho)
+            out = run_teleport(rho, channel, p, rho)
+            assert type(out.fidelity) is float
+            assert abs(out.fidelity - (1 - (1 - np.sin(2 * theta)) * (x * x + y * y) / 2)) < 1e-12
 
 
 def test_bell_corrections_pair_correctly():
