@@ -27,7 +27,6 @@ from scipy import optimize as sopt
 from qteleport import channels, states, teleport
 from qteleport.optimize import (
     N_PARAMS,
-    ProtocolParams,
     _PairObjective,
     bbcjpw_equivalent_params,
     decode_protocol,
@@ -41,7 +40,7 @@ THETAS = (np.pi / 16, np.pi / 8, 3 * np.pi / 16)
 
 def general_path_min_fidelity(vec: np.ndarray, channel: np.ndarray) -> float:
     """Score a parameter vector through run_teleport, not the fast objective."""
-    protocol = decode_protocol(ProtocolParams.from_vector(vec))
+    protocol = decode_protocol(vec)
     fids = []
     for chi in (CHI1, CHI2):
         rho = states.pure_density(chi)
@@ -55,7 +54,7 @@ def reference_value(theta: float, n_random: int, seed: int = 20240915) -> float:
     neg = lambda v: -objective(v)
 
     rng = np.random.default_rng(seed)
-    starts = [bbcjpw_equivalent_params().as_vector()]
+    starts = [bbcjpw_equivalent_params()]
     starts.extend(stratified_starts(n_random, rng))
 
     candidates = []

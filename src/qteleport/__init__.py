@@ -53,7 +53,6 @@ from .linalg import (
 )
 from .optimize import (
     OptResult,
-    ProtocolParams,
     SweepRow,
     bbcjpw_equivalent_params,
     decode_protocol,

@@ -129,8 +129,10 @@ def eig_hermitian(h: np.ndarray) -> HermitianEigen:
             f"matrix is not Hermitian (relative defect {defect:.3e} > {HERMITIAN_RTOL:.0e})"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    vecs = np.column_stack([fix_phase(vecs[:, k]) for k in range(vecs.shape[1])])
-    return HermitianEigen(eigenvalues=vals, eigenvectors=vecs)
+    # fix_phase on every column at once: the pivot is the first amplitude of
+    # magnitude > 1e-12, and a unit eigenvector always has one
+    pivots = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
+    return HermitianEigen(eigenvalues=vals, eigenvectors=vecs * (np.abs(pivots) / pivots))
 
 
 def psd_sqrt(p: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ decoded from a Hermitian generator — and the receiver, conditioned on the
 outcome, routes B into 2 and applies an outcome-indexed single-qubit
 unitary (axis-angle encoded). This contains the standard Bell-measurement
 protocol and always satisfies the completeness condition by construction.
+A member of the family is a float vector of shape (28,); ``_split_params``
+documents the layout.
 It is one round of LOCC, not the full separable-pair class, so sweep
 numbers are lower bounds achieved by explicit protocols rather than upper
 bounds over all protocols.
@@ -44,38 +46,6 @@ N_PARAMS = N_ALICE_PARAMS + N_BOB_PARAMS
 # 4x4 Hermitian generator.
 _OFF_I, _OFF_J = np.triu_indices(4, 1)
 _DIAG = np.arange(4)
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Flat real parameterization of one protocol in the family.
-
-    ``alice_params``: 16 coefficients of the Hermitian generator H in the
-    orthogonal basis {E_ii; E_ij + E_ji; i(E_ij - E_ji)}; the measurement
-    unitary is exp(iH). ``bob_params``: four axis-angle triples, one
-    two-by-two special unitary per measurement outcome.
-    """
-
-    alice_params: np.ndarray
-    bob_params: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alice_params, dtype=float).reshape(-1)
-        b = np.asarray(self.bob_params, dtype=float).reshape(4, 3)
-        if a.size != N_ALICE_PARAMS:
-            raise DimensionError(f"expected {N_ALICE_PARAMS} sender parameters, got {a.size}")
-        object.__setattr__(self, "alice_params", a)
-        object.__setattr__(self, "bob_params", b)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.alice_params, self.bob_params.reshape(-1)])
-
-    @classmethod
-    def from_vector(cls, vec) -> "ProtocolParams":
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        if v.size != N_PARAMS:
-            raise DimensionError(f"expected {N_PARAMS} parameters, got {v.size}")
-        return cls(alice_params=v[:N_ALICE_PARAMS], bob_params=v[N_ALICE_PARAMS:].reshape(4, 3))
 
 
 def _hermitian_from_params(a: np.ndarray) -> np.ndarray:
@@ -119,13 +89,31 @@ def decode_bob_unitaries(bob_params) -> np.ndarray:
     return out.reshape(batch + (2, 2))
 
 
-def decode_protocol(params: ProtocolParams) -> LocalKrausProtocol:
-    """Materialize the Kraus pairs: column projectors and routed corrections."""
-    vec = params.as_vector()
+def _split_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sender unitaries (..., 4, 4) and receiver factors (..., 4, 4, 4) of
+    parameter vectors (..., 28).
+
+    The first 16 entries are the coefficients of the Hermitian generator H
+    in the orthogonal basis {E_ii; E_ij + E_ji; i(E_ij - E_ji)}: the four
+    diagonal ones, then one pair per i < j in row order. The sender measures
+    onto the columns of exp(iH). The last 12 are four axis-angle triples w,
+    one unitary exp(-i w.sigma/2) per measurement outcome, each routed
+    B -> 2 by ``receiver_factor``.
+    """
+    u = decode_alice_unitary(params[..., :N_ALICE_PARAMS])
+    bob = params[..., N_ALICE_PARAMS:].reshape(params.shape[:-1] + (4, 3))
+    return u, receiver_factor(decode_bob_unitaries(bob))
+
+
+def decode_protocol(params) -> LocalKrausProtocol:
+    """Materialize the Kraus pairs of a (28,) parameter vector: column
+    projectors and routed corrections."""
+    vec = np.asarray(params, dtype=float)
+    if vec.shape != (N_PARAMS,):
+        raise DimensionError(f"expected {N_PARAMS} parameters, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("protocol parameters contain non-finite values")
-    u = decode_alice_unitary(params.alice_params)
-    bobs = receiver_factor(decode_bob_unitaries(params.bob_params))
+    u, bobs = _split_params(vec)
     pairs = tuple((np.outer(col, col.conj()), b) for col, b in zip(u.T, bobs))
     return LocalKrausProtocol(pairs=pairs, alice_dim=4, bob_dim=4)
 
@@ -143,18 +131,11 @@ _BELL_ALICE_PARAMS = (
 )
 
 
-def bbcjpw_equivalent_params() -> ProtocolParams:
-    """Parameters decoding to the Bell measurement with Pauli corrections."""
-    alice = np.array(_BELL_ALICE_PARAMS)
-    bob = np.array(
-        [
-            [0.0, 0.0, 0.0],       # identity
-            [0.0, 0.0, np.pi],     # z correction
-            [np.pi, 0.0, 0.0],     # x correction
-            [0.0, np.pi, 0.0],     # y correction
-        ]
-    )
-    return ProtocolParams(alice_params=alice, bob_params=bob)
+def bbcjpw_equivalent_params() -> np.ndarray:
+    """A fresh parameter vector decoding to the Bell measurement with Pauli
+    corrections: identity, then z, x and y rotations by pi."""
+    pi = np.pi
+    return np.array(_BELL_ALICE_PARAMS + (0.0, 0.0, 0.0, 0.0, 0.0, pi, pi, 0.0, 0.0, 0.0, pi, 0.0))
 
 
 class _PairObjective:
@@ -198,10 +179,8 @@ class _PairObjective:
         """Objective of each row of ``points`` (B, 28) on channel
         ``channel_index[b]``; every row equals its own scalar evaluation
         bit for bit."""
-        points = np.asarray(points, dtype=float)
-        u_dag = decode_alice_unitary(points[:, :N_ALICE_PARAMS]).conj().swapaxes(-1, -2)
-        bobs = decode_bob_unitaries(points[:, N_ALICE_PARAMS:].reshape(-1, 4, 3))
-        bstack = receiver_factor(bobs)
+        u, bstack = _split_params(np.asarray(points, dtype=float))
+        u_dag = u.conj().swapaxes(-1, -2)
 
         # axes (state j, channel term k, row b, ...)
         rows = u_dag @ self.v4[:, :, channel_index]     # row i: <c_i| V4
@@ -220,9 +199,10 @@ class _PairObjective:
 _FIRST_CHANNEL = np.zeros(1, dtype=int)
 
 
-def pair_objective(params: ProtocolParams, channel_rho, chi1, chi2) -> float:
-    """Worst teleportation fidelity over the two states, for one protocol."""
-    return _PairObjective(channel_rho, chi1, chi2)(params.as_vector())
+def pair_objective(params, channel_rho, chi1, chi2) -> float:
+    """Worst teleportation fidelity over the two states, for one (28,)
+    parameter vector."""
+    return _PairObjective(channel_rho, chi1, chi2)(params)
 
 
 @dataclass(frozen=True)
@@ -239,100 +219,6 @@ class OptResult:
 TOL_X = 1e-8
 TOL_F = 1e-10
 
-
-def nelder_mead(
-    objective,
-    init,
-    tol_x: float = TOL_X,
-    tol_f: float = TOL_F,
-    max_evals: int = 20000,
-    initial_step: float = 0.1,
-) -> OptResult:
-    """Maximize ``objective`` with the Nelder-Mead simplex.
-
-    Coefficients are the classic (reflect 1, expand 2, contract 0.5,
-    shrink 0.5). The run converges when the simplex diameter drops below
-    ``tol_x`` or the objective spread below ``tol_f``; hitting
-    ``max_evals`` first reports converged=False rather than raising.
-    """
-    def evaluate(points, _owners):
-        return np.array([float(objective(x)) for x in points])
-
-    [result] = _lockstep(evaluate, [_simplex_search(init, tol_x, tol_f, max_evals, initial_step)])
-    return result
-
-
-def _simplex_search(init, tol_x, tol_f, max_evals, initial_step):
-    """The simplex of ``nelder_mead`` as a generator.
-
-    Yields each (k, n) array of points it needs (the initial simplex,
-    k = n + 1; a reflection, expansion or contraction, k = 1; a shrink,
-    k = n), receives their k objective values, and returns the OptResult.
-    """
-    x0 = np.asarray(init, dtype=float).reshape(-1)
-    n = x0.size
-    if n < 1:
-        raise ValueError("need at least one parameter")
-
-    # The search minimizes the negated objective.
-    simplex = np.tile(x0, (n + 1, 1))
-    simplex[1:] += np.eye(n) * initial_step
-    values = -np.asarray((yield simplex), dtype=float)
-    evals = n + 1
-
-    converged = False
-    while evals < max_evals:
-        order = values.argsort(kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-
-        diff = simplex[1:] - simplex[0]
-        diameter = float(np.sqrt((diff * diff).sum(axis=1).max()))
-        spread = float(values[-1] - values[0])
-        if diameter < tol_x or spread < tol_f:
-            converged = True
-            break
-
-        centroid = simplex[:-1].sum(axis=0) / n  # the mean, without its call overhead
-        reflected = centroid + (centroid - simplex[-1])
-        fr = -float((yield reflected[None])[0])
-        evals += 1
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = -float((yield expanded[None])[0])
-            evals += 1
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            if fr < values[-1]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-                fc = -float((yield contracted[None])[0])
-                accept = fc <= fr
-            else:
-                contracted = centroid + 0.5 * (simplex[-1] - centroid)
-                fc = -float((yield contracted[None])[0])
-                accept = fc < values[-1]
-            evals += 1
-            if accept:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                values[1:] = -np.asarray((yield simplex[1:]), dtype=float)
-                evals += n
-
-    best_idx = int(np.argmin(values))
-    return OptResult(
-        best_params=simplex[best_idx].copy(),
-        best_objective=-float(values[best_idx]),
-        evaluations=evals,
-        converged=converged,
-    )
-
-
 # Restart ladder for each sweep start: (initial step, evaluation share).
 # After the first convergence, a wide simplex restart hops out of shallow
 # local basins and the tighter steps polish whatever it lands in; the final
@@ -340,35 +226,111 @@ def _simplex_search(init, tol_x, tol_f, max_evals, initial_step):
 _RESTART_LADDER = ((0.1, 0.4), (0.7, 0.2), (0.1, 0.2), (0.02, 1.0))
 
 
-def _polished_run(start, max_evals):
-    """One multistart leg: a ladder of simplex searches within a shared
-    budget, as a generator of point requests like ``_simplex_search``.
+def nelder_mead(objective, init, max_evals: int = 20000) -> OptResult:
+    """Maximize ``objective`` with the Nelder-Mead simplex.
 
-    Every search after the first restarts from the best point seen so far.
-    Stops early when the budget is gone or the objective has hit its
-    ceiling of 1.
+    Coefficients are the classic (reflect 1, expand 2, contract 0.5,
+    shrink 0.5) and the initial step is 0.1. The run converges when the
+    simplex diameter drops below ``TOL_X`` or the objective spread below
+    ``TOL_F``; hitting ``max_evals`` first reports converged=False rather
+    than raising.
     """
+    def evaluate(points, _owners):
+        return np.array([float(objective(x)) for x in points])
+
+    [result] = _lockstep(evaluate, [_simplex_search(init, max_evals, ((0.1, 1.0),))])
+    return result
+
+
+def _simplex_search(init, max_evals, ladder):
+    """A ladder of Nelder-Mead simplexes within one budget, as a generator.
+
+    ``ladder`` lists (initial step, budget share) legs; every leg after the
+    first restarts from the best point seen so far, and the ladder stops
+    early when the budget is gone or the objective has hit its ceiling of 1.
+    Yields each (k, n) array of points it needs (an initial simplex,
+    k = n + 1; a reflection, expansion or contraction, k = 1; a shrink,
+    k = n), receives their k objective values, and returns the OptResult of
+    the best leg, with the evaluations of all legs. Ties keep the earlier leg.
+    """
+    best_params = np.asarray(init, dtype=float).reshape(-1)
+    n = best_params.size
+    if n < 1:
+        raise ValueError("need at least one parameter")
+    if max_evals < 1:
+        raise ValueError("max_evals must be >= 1")
+
     remaining = max_evals
-    point = np.asarray(start, dtype=float)
-    best = None
     total = 0
-    for step, share in _RESTART_LADDER:
+    best_objective = None
+    for step, share in ladder:
         if remaining <= 0:
             break
         budget = min(remaining, max(1, int(max_evals * share)))
-        result = yield from _simplex_search(point, TOL_X, TOL_F, budget, step)
-        total += result.evaluations
-        remaining -= result.evaluations
-        if best is None or result.best_objective > best.best_objective:
-            best = result
-        point = best.best_params
-        if best.best_objective >= 1.0 - 1e-12:
+        # Each leg minimizes the negated objective.
+        simplex = np.tile(best_params, (n + 1, 1))
+        simplex[1:] += np.eye(n) * step
+        values = -np.asarray((yield simplex), dtype=float)
+        evals = n + 1
+
+        converged = False
+        while evals < budget:
+            order = values.argsort(kind="stable")
+            simplex = simplex[order]
+            values = values[order]
+
+            diff = simplex[1:] - simplex[0]
+            diameter = float(np.sqrt((diff * diff).sum(axis=1).max()))
+            spread = float(values[-1] - values[0])
+            if diameter < TOL_X or spread < TOL_F:
+                converged = True
+                break
+
+            centroid = simplex[:-1].sum(axis=0) / n  # the mean, without its call overhead
+            reflected = centroid + (centroid - simplex[-1])
+            fr = -float((yield reflected[None])[0])
+            evals += 1
+            if fr < values[0]:
+                expanded = centroid + 2.0 * (centroid - simplex[-1])
+                fe = -float((yield expanded[None])[0])
+                evals += 1
+                if fe < fr:
+                    simplex[-1], values[-1] = expanded, fe
+                else:
+                    simplex[-1], values[-1] = reflected, fr
+            elif fr < values[-2]:
+                simplex[-1], values[-1] = reflected, fr
+            else:
+                if fr < values[-1]:
+                    contracted = centroid + 0.5 * (reflected - centroid)
+                    fc = -float((yield contracted[None])[0])
+                    accept = fc <= fr
+                else:
+                    contracted = centroid + 0.5 * (simplex[-1] - centroid)
+                    fc = -float((yield contracted[None])[0])
+                    accept = fc < values[-1]
+                evals += 1
+                if accept:
+                    simplex[-1], values[-1] = contracted, fc
+                else:
+                    simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                    values[1:] = -np.asarray((yield simplex[1:]), dtype=float)
+                    evals += n
+
+        total += evals
+        remaining -= evals
+        best_idx = int(np.argmin(values))
+        leg_best = -float(values[best_idx])
+        if best_objective is None or leg_best > best_objective:
+            best_params, best_objective = simplex[best_idx].copy(), leg_best
+            best_converged = converged
+        if best_objective >= 1.0 - 1e-12:
             break
     return OptResult(
-        best_params=best.best_params,
-        best_objective=best.best_objective,
+        best_params=best_params,
+        best_objective=best_objective,
         evaluations=total,
-        converged=best.converged,
+        converged=best_converged,
     )
 
 
@@ -418,7 +380,8 @@ class StartRecord:
 class SweepRow:
     """One resource angle of the sweep, with the winning protocol kept.
 
-    ``start_records`` holds one record per start, Bell start first; it is
+    ``best_params`` is the winning (28,) vector; ``decode_protocol`` turns
+    it into the protocol. ``start_records`` holds one record per start, Bell start first; it is
     diagnostic only and left out of comparisons, repr and the CSV.
     """
 
@@ -427,7 +390,7 @@ class SweepRow:
     best_min_fidelity: float
     starts: int
     evaluations: int
-    best_params: ProtocolParams
+    best_params: np.ndarray
     start_records: tuple[StartRecord, ...] = field(default=(), compare=False, repr=False)
 
 
@@ -450,8 +413,9 @@ def sweep_channel_angle(
 ) -> list[SweepRow]:
     """Best worst-case pair fidelity per resource angle, multistart simplex.
 
-    Each angle in (0, pi/4] gets ``starts`` simplex runs: one seeded at the
-    Bell-measurement parameters and the rest at stratified random points.
+    Each angle in (0, pi/4] gets ``starts`` restart ladders of simplex runs,
+    each with ``max_evals`` evaluations: one seeded at the Bell-measurement
+    parameters and the rest at stratified random points.
     All runs of all angles step in lockstep through one batched objective.
     Ties keep the earliest start. Rows come back sorted by angle and are
     bit-reproducible for a fixed seed and grid.
@@ -469,9 +433,9 @@ def sweep_channel_angle(
     searches = []
     for idx in order:
         rng = np.random.default_rng(theta_seeds[idx])
-        start_points = [bbcjpw_equivalent_params().as_vector()]
+        start_points = [bbcjpw_equivalent_params()]
         start_points.extend(stratified_starts(starts - 1, rng))
-        searches.extend(_polished_run(p, max_evals) for p in start_points)
+        searches.extend(_simplex_search(p, max_evals, _RESTART_LADDER) for p in start_points)
     channel_index = np.repeat(np.arange(len(order)), starts)
     results = _lockstep(
         lambda points, owners: objective.evaluate(points, channel_index[owners]), searches
@@ -489,7 +453,7 @@ def sweep_channel_angle(
                 best_min_fidelity=best.best_objective,
                 starts=starts,
                 evaluations=sum(r.evaluations for r in runs),
-                best_params=ProtocolParams.from_vector(best.best_params),
+                best_params=best.best_params,
                 start_records=tuple(
                     StartRecord(r.evaluations, r.converged, r.best_objective) for r in runs
                 ),

@@ -31,13 +31,28 @@ ORTHOGONAL_TOL = 1e-8
 _DET_BAND = 2.0 * np.finfo(float).eps
 
 
+def _check_entries(a: np.ndarray, what: str) -> None:
+    """Reject non-finite entries, and real or imaginary parts above 2 in
+    magnitude, in one pass over the parts.
+
+    No valid amplitude, Bloch component or density-matrix entry comes near
+    2, so the bound rejects only input the later checks reject too; it keeps
+    their norms from overflowing, and nearly valid input still gets the
+    message that names its fault.
+    """
+    peak = np.abs(np.ascontiguousarray(a).view(float)).max(initial=0.0)
+    if not peak <= 2.0:  # NaN fails this comparison too
+        if not np.isfinite(peak):
+            raise ValueError(f"{what} has non-finite entries")
+        raise ValueError(f"{what} has an entry of magnitude above 2")
+
+
 def check_pure_state(psi, dim: int | None = None) -> np.ndarray:
     """Validate a unit-norm state vector and return it as complex128."""
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if dim is not None and v.size != dim:
         raise DimensionError(f"expected a state of dim {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("state vector has non-finite entries")
+    _check_entries(v, "state vector")
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > STATE_ATOL:
         raise ValueError(f"state vector norm {norm:.12g} is not 1 within {STATE_ATOL:.0e}")
@@ -60,8 +75,7 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"density matrix must be square, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise DimensionError(f"expected dim {dim}, got {m.shape[0]}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
+    _check_entries(m, "matrix")
     if frobenius(m - dagger(m)) > STATE_ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-10")
     tr = float(np.trace(m).real)
@@ -93,6 +107,7 @@ def density_from_bloch(r) -> np.ndarray:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != 3:
         raise DimensionError(f"Bloch vector needs 3 components, got {r.size}")
+    _check_entries(r, "Bloch vector")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + STATE_ATOL:
         raise ValueError(f"Bloch vector norm {norm:.12g} lies outside the unit ball")

@@ -18,7 +18,7 @@ from .channels import (
     resource_channel,
 )
 from .linalg import dagger, frobenius
-from .optimize import ProtocolParams, decode_protocol
+from .optimize import decode_protocol
 from .states import (
     commutator_norm,
     density_from_bloch,
@@ -109,8 +109,7 @@ def _matrix_protocols(rng: np.random.Generator):
         classical_commuting_protocol((plus, minus)),
     ]
     for _ in range(3):
-        vec = rng.uniform(-np.pi, np.pi, 28)
-        protocols.append(decode_protocol(ProtocolParams.from_vector(vec)))
+        protocols.append(decode_protocol(rng.uniform(-np.pi, np.pi, 28)))
     return protocols
 
 

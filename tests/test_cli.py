@@ -272,6 +272,9 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
           "--rho1", "1,0", "--rho2", "0,1"], None, None),
         (["teleport", "--input", "0,0,1", "--basis", "1,0;0,1"], None, None),
         (["dilate", "--basis", "1,0;0,1"], None, None),
+        (["teleport", "--input", "1e200:0,1e200:0"], None, None),
+        (["decompose", "--bloch1", "1e200,1e200,0", "--bloch2", "1,0,0"], None, None),
+        (["teleport", "--input", "1e200:0,1e200:0;0:0,0:0"], None, None),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
@@ -279,7 +282,8 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
          "sweep-nan-ket", "input-file-json-object", "protocol-pair-factor-number",
          "teleport-angle-inf", "entangle-angle-inf", "tol-exact-out-of-range", "tol-exact-nan",
          "channel-angle-and-pair", "entangle-state-and-angle", "decompose-bloch-and-rho",
-         "teleport-basis-without-classical", "dilate-basis-without-classical"],
+         "teleport-basis-without-classical", "dilate-basis-without-classical",
+         "ket-entry-overflow", "bloch-entry-overflow", "matrix-entry-overflow"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, json_doc

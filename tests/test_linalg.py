@@ -5,6 +5,7 @@ from qteleport.errors import DimensionError, NonHermitianError, NotPositiveError
 from qteleport.linalg import (
     dagger,
     eig_hermitian,
+    fix_phase,
     frobenius,
     kron,
     partial_trace,
@@ -179,6 +180,20 @@ def test_eig_reconstruction_and_orthonormality():
             assert frobenius(v.conj().T @ v - np.eye(dim)) < 1e-10
             rebuilt = (v * eig.eigenvalues) @ v.conj().T
             assert frobenius(rebuilt - h) < 1e-10 * max(1.0, frobenius(h))
+
+
+def test_eig_phases_equal_the_per_column_fix_phase_loop_bit_for_bit():
+    # the per-column fix_phase loop is the reference; zeroed leading rows
+    # move the pivot below the first entry
+    rng = np.random.default_rng(19)
+    for dim in (2, 4, 8):
+        for trial in range(60):
+            h = random_hermitian(rng, dim)
+            zeroed = trial % dim
+            h[:zeroed], h[:, :zeroed] = 0.0, 0.0
+            vecs = np.linalg.eigh((h + dagger(h)) / 2.0)[1]
+            loop = np.column_stack([fix_phase(vecs[:, k]) for k in range(dim)])
+            assert eig_hermitian(h).eigenvectors.tobytes() == loop.tobytes()
 
 
 def test_eig_rejects_non_hermitian():

@@ -1,11 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qteleport.channels import angle_channel, resource_channel, teleported_output, apply_protocol
+from qteleport.errors import DimensionError
 from qteleport.optimize import (
+    N_ALICE_PARAMS,
     N_PARAMS,
     OptResult,
-    ProtocolParams,
     _PairObjective,
     bbcjpw_equivalent_params,
     decode_alice_unitary,
@@ -65,11 +69,10 @@ def test_bob_axis_angle_closed_forms():
     assert np.allclose(us[3], -1j * sz, atol=1e-12)
 
 
-def test_param_vector_round_trip():
-    rng = np.random.default_rng(83)
-    vec = rng.uniform(-1, 1, N_PARAMS)
-    p = ProtocolParams.from_vector(vec)
-    assert np.allclose(p.as_vector(), vec)
+def test_decode_rejects_wrong_shape():
+    for shape in [(27,), (29,), (4, 7)]:
+        with pytest.raises(DimensionError):
+            decode_protocol(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ def test_param_vector_round_trip():
 def test_random_params_always_complete():
     rng = np.random.default_rng(84)
     for _ in range(20):
-        p = decode_protocol(ProtocolParams.from_vector(rng.uniform(-np.pi, np.pi, N_PARAMS)))
+        p = decode_protocol(rng.uniform(-np.pi, np.pi, N_PARAMS))
         assert p.completeness_residual <= 1e-9
 
 
@@ -87,13 +90,13 @@ def test_decode_rejects_non_finite():
     vec = np.zeros(N_PARAMS)
     vec[3] = np.nan
     with pytest.raises(ValueError):
-        decode_protocol(ProtocolParams.from_vector(vec))
+        decode_protocol(vec)
 
 
 def test_bbcjpw_equivalent_params_match_protocol_action():
     decoded = decode_protocol(bbcjpw_equivalent_params())
     reference = bbcjpw_protocol()
-    assert np.allclose(decode_alice_unitary(bbcjpw_equivalent_params().alice_params),
+    assert np.allclose(decode_alice_unitary(bbcjpw_equivalent_params()[:N_ALICE_PARAMS]),
                        bell_unitary(), atol=1e-10)
     rng = np.random.default_rng(85)
     for _ in range(10):
@@ -105,14 +108,13 @@ def test_bbcjpw_equivalent_params_match_protocol_action():
 
 
 def test_bbcjpw_equivalent_params_fresh_on_each_call():
-    expected = bbcjpw_equivalent_params().alice_params.copy()
-    bbcjpw_equivalent_params().alice_params[:] = 0.0
-    assert np.array_equal(bbcjpw_equivalent_params().alice_params, expected)
+    expected = bbcjpw_equivalent_params().copy()
+    bbcjpw_equivalent_params()[:] = 0.0
+    assert np.array_equal(bbcjpw_equivalent_params(), expected)
 
 
 def test_identity_measurement_params_decohere():
-    params = ProtocolParams(alice_params=np.zeros(16), bob_params=np.zeros((4, 3)))
-    value = pair_objective(params, BELL, KET0, PLUS)
+    value = pair_objective(np.zeros(N_PARAMS), BELL, KET0, PLUS)
     assert value < 1 - 1e-3
 
 
@@ -128,7 +130,7 @@ def test_pair_objective_bbcjpw_on_bell_is_one():
 def test_pair_objective_matches_general_path():
     rng = np.random.default_rng(86)
     for _ in range(5):
-        params = ProtocolParams.from_vector(rng.uniform(-np.pi, np.pi, N_PARAMS))
+        params = rng.uniform(-np.pi, np.pi, N_PARAMS)
         protocol = decode_protocol(params)
         for channel in (BELL, angle_channel(np.pi / 8),
                         resource_channel(random_density_matrix(4, rng))):
@@ -145,7 +147,7 @@ def test_pair_objective_decohered_channel_is_half():
     channel = resource_channel(np.eye(4, dtype=complex) / 4)
     rng = np.random.default_rng(87)
     for _ in range(10):
-        params = ProtocolParams.from_vector(rng.uniform(-np.pi, np.pi, N_PARAMS))
+        params = rng.uniform(-np.pi, np.pi, N_PARAMS)
         assert abs(pair_objective(params, channel, KET0, PLUS) - 0.5) < 1e-12
 
 
@@ -172,7 +174,7 @@ def test_batched_objective_equals_scalar_call_bit_for_bit():
     batched = _PairObjective(np.array(channels), KET0, PLUS)
     scalar = [_PairObjective(channel, KET0, PLUS) for channel in channels]
     points = rng.uniform(-np.pi, np.pi, (200, N_PARAMS))
-    points[0] = bbcjpw_equivalent_params().as_vector()
+    points[0] = bbcjpw_equivalent_params()
     tags = rng.integers(0, len(channels), len(points))
     values = batched.evaluate(points, tags)
     for point, tag, value in zip(points, tags, values):
@@ -201,15 +203,27 @@ def test_nelder_mead_rosenbrock():
     def neg_rosenbrock(x):
         return -((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
 
-    result = nelder_mead(neg_rosenbrock, np.array([-1.2, 1.0]), max_evals=5000)
+    result = nelder_mead(neg_rosenbrock, [-1.2, 1.0], max_evals=5000)
     assert abs(result.best_objective) < 1e-4
     assert np.allclose(result.best_params, [1, 1], atol=0.05)
+    # pinned bit for bit, so any change to the simplex or its ladder shows here
+    assert result.best_objective == -1.4087013863978232e-10
+    assert result.evaluations == 181
+    assert result.converged is True
+    assert result.best_params.tobytes().hex() == "a51c151d0c00f03f4b3a1ff11700f03f"
 
 
 def test_nelder_mead_budget_exhaustion_flags_not_converged():
     result = nelder_mead(lambda x: -np.sum((x - 1.0) ** 2), np.zeros(8), max_evals=30)
     assert not result.converged
     assert result.evaluations <= 30 + 10  # allowed to finish the current step
+
+
+def test_max_evals_below_one_rejected():
+    with pytest.raises(ValueError, match="max_evals must be >= 1"):
+        nelder_mead(lambda x: 0.0, np.zeros(3), max_evals=0)
+    with pytest.raises(ValueError, match="max_evals must be >= 1"):
+        sweep_channel_angle([np.pi / 4], KET0, PLUS, starts=1, max_evals=0)
 
 
 def test_nelder_mead_best_objective_reproducible():
@@ -253,7 +267,7 @@ def test_sweep_row_independent_of_batch_composition():
         alone, = sweep_channel_angle([theta], KET0, PLUS, starts=2, seed=4, max_evals=600)
         assert row.best_min_fidelity == alone.best_min_fidelity
         assert row.evaluations == alone.evaluations
-        assert np.array_equal(row.best_params.as_vector(), alone.best_params.as_vector())
+        assert np.array_equal(row.best_params, alone.best_params)
         assert row.start_records == alone.start_records
 
 
@@ -289,7 +303,7 @@ def test_sweep_deterministic_and_sorted():
     for ra, rb in zip(a, b):
         assert ra.best_min_fidelity == rb.best_min_fidelity
         assert ra.evaluations == rb.evaluations
-        assert np.array_equal(ra.best_params.as_vector(), rb.best_params.as_vector())
+        assert np.array_equal(ra.best_params, rb.best_params)
 
 
 def test_sweep_row_reproducible_from_best_params():
@@ -315,3 +329,15 @@ def test_sweep_csv_format():
     assert len(fields) == 5
     assert float(fields[0]) == rows[0].theta
     assert int(fields[3]) == 1
+
+
+def test_sweep_reference_script_certifies_the_bell_start():
+    # imports the script and scores one vector through its general path;
+    # the reference search itself is not run
+    pytest.importorskip("scipy")
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compute_sweep_reference.py"
+    spec = importlib.util.spec_from_file_location("compute_sweep_reference", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    value = script.general_path_min_fidelity(bbcjpw_equivalent_params(), angle_channel(np.pi / 4))
+    assert value >= 1 - 1e-12
