@@ -26,6 +26,7 @@ reproduces the scalar evaluation bit for bit, so every start follows the
 trajectory it would follow alone.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,15 +106,20 @@ def _split_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, receiver_factor(decode_bob_unitaries(bob))
 
 
-def decode_protocol(params) -> LocalKrausProtocol:
-    """Materialize the Kraus pairs of a (28,) parameter vector: column
-    projectors and routed corrections."""
+def _checked_params(params) -> np.ndarray:
+    """``params`` as a finite (28,) float vector, or DimensionError/ValueError."""
     vec = np.asarray(params, dtype=float)
     if vec.shape != (N_PARAMS,):
         raise DimensionError(f"expected {N_PARAMS} parameters, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("protocol parameters contain non-finite values")
-    u, bobs = _split_params(vec)
+    return vec
+
+
+def decode_protocol(params) -> LocalKrausProtocol:
+    """Materialize the Kraus pairs of a (28,) parameter vector: column
+    projectors and routed corrections."""
+    u, bobs = _split_params(_checked_params(params))
     pairs = tuple((np.outer(col, col.conj()), b) for col, b in zip(u.T, bobs))
     return LocalKrausProtocol(pairs=pairs, alice_dim=4, bob_dim=4)
 
@@ -202,7 +208,7 @@ _FIRST_CHANNEL = np.zeros(1, dtype=int)
 def pair_objective(params, channel_rho, chi1, chi2) -> float:
     """Worst teleportation fidelity over the two states, for one (28,)
     parameter vector."""
-    return _PairObjective(channel_rho, chi1, chi2)(params)
+    return _PairObjective(channel_rho, chi1, chi2)(_checked_params(params))
 
 
 @dataclass(frozen=True)
@@ -252,6 +258,11 @@ def _simplex_search(init, max_evals, ladder):
     k = n + 1; a reflection, expansion or contraction, k = 1; a shrink,
     k = n), receives their k objective values, and returns the OptResult of
     the best leg, with the evaluations of all legs. Ties keep the earlier leg.
+
+    The vertices stay in the order a stable sort of their values gives,
+    NaNs last: a step that replaces only the worst vertex inserts its
+    successor where that sort would put it, and only the initial simplex
+    and a shrink are sorted whole.
     """
     best_params = np.asarray(init, dtype=float).reshape(-1)
     n = best_params.size
@@ -259,6 +270,12 @@ def _simplex_search(init, max_evals, ladder):
         raise ValueError("need at least one parameter")
     if max_evals < 1:
         raise ValueError("max_evals must be >= 1")
+    # The step direction d = c - w, from the worst vertex w to the centroid
+    # c of the others, has ||d|| <= 2 * diameter, so ||d|| >= 4 * TOL_X
+    # shows the simplex too wide to converge without measuring it. The
+    # second term covers the rounding of c, at most about n * eps * ||c||.
+    far_sq = (4.0 * TOL_X) ** 2
+    rounding_sq = (4.0 * n * np.finfo(float).eps) ** 2
 
     remaining = max_evals
     total = 0
@@ -270,52 +287,60 @@ def _simplex_search(init, max_evals, ladder):
         # Each leg minimizes the negated objective.
         simplex = np.tile(best_params, (n + 1, 1))
         simplex[1:] += np.eye(n) * step
-        values = -np.asarray((yield simplex), dtype=float)
+        simplex, values = _sorted(simplex, -np.asarray((yield simplex), dtype=float))
         evals = n + 1
 
         converged = False
         while evals < budget:
-            order = values.argsort(kind="stable")
-            simplex = simplex[order]
-            values = values[order]
-
-            diff = simplex[1:] - simplex[0]
-            diameter = float(np.sqrt((diff * diff).sum(axis=1).max()))
-            spread = float(values[-1] - values[0])
-            if diameter < TOL_X or spread < TOL_F:
+            if values[-1] - values[0] < TOL_F:
                 converged = True
                 break
-
             centroid = simplex[:-1].sum(axis=0) / n  # the mean, without its call overhead
-            reflected = centroid + (centroid - simplex[-1])
+            d = centroid - simplex[-1]
+            if d.dot(d) < far_sq + rounding_sq * centroid.dot(centroid):
+                diff = simplex[1:] - simplex[0]
+                if np.sqrt((diff * diff).sum(axis=1).max()) < TOL_X:
+                    converged = True
+                    break
+
+            reflected = centroid + d
             fr = -float((yield reflected[None])[0])
             evals += 1
             if fr < values[0]:
-                expanded = centroid + 2.0 * (centroid - simplex[-1])
+                expanded = centroid + 2.0 * d
                 fe = -float((yield expanded[None])[0])
                 evals += 1
-                if fe < fr:
-                    simplex[-1], values[-1] = expanded, fe
-                else:
-                    simplex[-1], values[-1] = reflected, fr
+                point, f = (expanded, fe) if fe < fr else (reflected, fr)
             elif fr < values[-2]:
-                simplex[-1], values[-1] = reflected, fr
+                point, f = reflected, fr
             else:
                 if fr < values[-1]:
-                    contracted = centroid + 0.5 * (reflected - centroid)
-                    fc = -float((yield contracted[None])[0])
-                    accept = fc <= fr
+                    point = centroid + 0.5 * (reflected - centroid)
+                    f = -float((yield point[None])[0])
+                    accept = f <= fr
                 else:
-                    contracted = centroid + 0.5 * (simplex[-1] - centroid)
-                    fc = -float((yield contracted[None])[0])
-                    accept = fc < values[-1]
+                    point = centroid - 0.5 * d  # c + (w - c) / 2, bit for bit
+                    f = -float((yield point[None])[0])
+                    accept = f < values[-1]
                 evals += 1
-                if accept:
-                    simplex[-1], values[-1] = contracted, fc
-                else:
+                if not accept:
                     simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                    values[1:] = -np.asarray((yield simplex[1:]), dtype=float)
+                    shrunk = -np.asarray((yield simplex[1:]), dtype=float)
                     evals += n
+                    simplex, values = _sorted(simplex, np.concatenate(([values[0]], shrunk)))
+                    continue
+
+            # Replace the worst vertex: the stable sort puts the newcomer
+            # after every value it does not undercut, and ahead of the NaNs.
+            del values[-1]
+            finite = n
+            while finite and values[finite - 1] != values[finite - 1]:
+                finite -= 1
+            at = bisect_right(values, f, 0, finite) if f == f else n
+            values.insert(at, f)
+            if at < n:
+                simplex[at + 1:] = simplex[at:-1]
+            simplex[at] = point
 
         total += evals
         remaining -= evals
@@ -334,36 +359,35 @@ def _simplex_search(init, max_evals, ladder):
     )
 
 
+def _sorted(simplex, values):
+    """The vertices and their values (as a list) in stable-sorted order."""
+    order = values.argsort(kind="stable")
+    return simplex[order], values[order].tolist()
+
+
 def _lockstep(evaluate, searches) -> list[OptResult]:
     """Step every search together; return their results in order.
 
     Each round concatenates the points every unfinished search asked for
     into one call ``evaluate(points, owners)``, where ``owners[r]`` is the
     index of the search that asked for row r, and sends each search its
-    slice of the values. When ``evaluate`` scores each row on its own, a
-    search's trajectory does not depend on which others share the batch.
+    slice of the values as a list of floats. Every search asks for points
+    at least once. When ``evaluate`` scores each row on its own, a search's
+    trajectory does not depend on which others share the batch.
     """
     results = [None] * len(searches)
-    requests = {}
-
-    def advance(i, values):
-        try:
-            requests[i] = searches[i].send(values)
-        except StopIteration as stop:
-            results[i] = stop.value
-            requests.pop(i, None)
-
-    for i in range(len(searches)):
-        advance(i, None)
-    while requests:
-        ids = list(requests)
-        batch = [requests[i] for i in ids]
-        sizes = [len(points) for points in batch]
-        values = evaluate(np.concatenate(batch), np.repeat(ids, sizes))
-        end = 0
-        for i, size in zip(ids, sizes):
-            advance(i, values[end:end + size])
-            end += size
+    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while pending:
+        owners = [i for i, _, points in pending for _ in range(len(points))]
+        values = evaluate(np.concatenate([points for _, _, points in pending]), owners).tolist()
+        asking, end = [], 0
+        for i, search, points in pending:
+            start, end = end, end + len(points)
+            try:
+                asking.append((i, search, search.send(values[start:end])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        pending = asking
     return results
 
 
@@ -381,8 +405,9 @@ class SweepRow:
     """One resource angle of the sweep, with the winning protocol kept.
 
     ``best_params`` is the winning (28,) vector; ``decode_protocol`` turns
-    it into the protocol. ``start_records`` holds one record per start, Bell start first; it is
-    diagnostic only and left out of comparisons, repr and the CSV.
+    it into the protocol. ``start_records`` holds one record per start,
+    Bell start first; it is diagnostic only and left out of repr and the
+    CSV. Rows are equal when every field is, ``best_params`` by value.
     """
 
     theta: float
@@ -391,7 +416,16 @@ class SweepRow:
     starts: int
     evaluations: int
     best_params: np.ndarray
-    start_records: tuple[StartRecord, ...] = field(default=(), compare=False, repr=False)
+    start_records: tuple[StartRecord, ...] = field(default=(), repr=False)
+
+    def _key(self) -> tuple:
+        return (self.theta, self.channel_entropy, self.best_min_fidelity, self.starts,
+                self.evaluations, tuple(self.best_params.tolist()), self.start_records)
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepRow):
+            return NotImplemented
+        return self._key() == other._key()
 
 
 def stratified_starts(n_starts: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +73,12 @@ def test_bob_axis_angle_closed_forms():
 
 
 def test_decode_rejects_wrong_shape():
+    # the public objective shares the check
     for shape in [(27,), (29,), (4, 7)]:
         with pytest.raises(DimensionError):
             decode_protocol(np.zeros(shape))
+        with pytest.raises(DimensionError):
+            pair_objective(np.zeros(shape), BELL, KET0, PLUS)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +97,9 @@ def test_decode_rejects_non_finite():
     vec[3] = np.nan
     with pytest.raises(ValueError):
         decode_protocol(vec)
+    for bad in (vec, np.full(N_PARAMS, np.nan), np.full(N_PARAMS, np.inf)):
+        with pytest.raises(ValueError, match="non-finite"):
+            pair_objective(bad, BELL, KET0, PLUS)
 
 
 def test_bbcjpw_equivalent_params_match_protocol_action():
@@ -213,6 +222,35 @@ def test_nelder_mead_rosenbrock():
     assert result.best_params.tobytes().hex() == "a51c151d0c00f03f4b3a1ff11700f03f"
 
 
+def test_nelder_mead_keeps_nan_vertices_last():
+    # Two of the three initial vertices score NaN, and the first expansion
+    # is inserted ahead of them: a plain bisection would put it after the
+    # NaN it lands on, and the run would stop at once with a NaN best.
+    def objective(x):
+        if x[0] + x[1] > 0.05:
+            return math.nan
+        return -((x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2)
+
+    result = nelder_mead(objective, [0.0, 0.0], max_evals=2000)
+    assert result.best_objective == -5.0601866472852423e-11
+    assert result.evaluations == 86
+    assert result.converged is True
+    assert result.best_params.tobytes().hex() == "9c4d79d9fcffef3f6aa7724a0700f0bf"
+
+
+def test_nelder_mead_converges_by_diameter():
+    # At a kink the objective spread stays near the diameter (~5e-9, above
+    # TOL_F) while the diameter falls below TOL_X, so this run stops by the
+    # diameter rule; pinned bit for bit.
+    target = np.array([0.3, -0.2, 0.7])
+    result = nelder_mead(lambda x: -float(np.abs(x - target).sum()), np.zeros(3))
+    assert result.best_objective == -4.972942557746052e-09
+    assert result.evaluations == 239
+    assert result.converged is True
+    assert result.best_params.tobytes().hex() == (
+        "4d2f1a333333d33fe0e517a29999c9bf3ecbe5666666e63f")
+
+
 def test_nelder_mead_budget_exhaustion_flags_not_converged():
     result = nelder_mead(lambda x: -np.sum((x - 1.0) ** 2), np.zeros(8), max_evals=30)
     assert not result.converged
@@ -255,6 +293,22 @@ def test_sweep_rows_pinned_bit_for_bit():
     assert [r.best_min_fidelity for r in rows] == [
         0.9676359849745843, 0.9912338202404989, 0.999031272079646, 1.0]
     assert [r.evaluations for r in rows] == [6000, 6000, 6000, 4800]
+    assert [hashlib.sha256(r.best_params.tobytes()).hexdigest() for r in rows] == [
+        "5d713447edad38d713630f6a757af8b37e973a7a9769362a1836e9ea7dc2255d",
+        "0b13a51e434b5f4e78ad20558328676e21a6f2ec6bb7f1e214381e87f8ee6cf4",
+        "d4cf3919e542a51c606e9805d76c22627d7b23175327cf4bcc4f4396cb752eec",
+        "6a59911301362fc1344d5b36d9ae72dd8095370b3b07ef64bcebce0fb8c00f79",
+    ]
+    assert [[dataclasses.astuple(s) for s in r.start_records] for r in rows] == [
+        [(2000, False, 0.9676359849745843), (2000, False, 0.9508107398563724),
+         (2000, False, 0.9569324600840081)],
+        [(2000, False, 0.9912338202404989), (2000, False, 0.9557185072098322),
+         (2000, False, 0.974441266766092)],
+        [(2000, False, 0.999031272079646), (2000, False, 0.9934327491572058),
+         (2000, False, 0.9668400502448387)],
+        [(800, False, 1.0), (2000, False, 0.9986413265981382),
+         (2000, False, 0.9966439831635983)],
+    ]
 
 
 def test_sweep_row_independent_of_batch_composition():
@@ -300,10 +354,15 @@ def test_sweep_deterministic_and_sorted():
     a = sweep_channel_angle(thetas, KET0, PLUS, starts=2, seed=9, max_evals=800)
     b = sweep_channel_angle(thetas, KET0, PLUS, starts=2, seed=9, max_evals=800)
     assert [r.theta for r in a] == sorted(thetas)
-    for ra, rb in zip(a, b):
-        assert ra.best_min_fidelity == rb.best_min_fidelity
-        assert ra.evaluations == rb.evaluations
-        assert np.array_equal(ra.best_params, rb.best_params)
+    # rows compare by value, best_params included
+    assert a == b
+    row = a[1]
+    nudged = row.best_params.copy()
+    nudged[5] = np.nextafter(nudged[5], np.inf)
+    for changed in (dataclasses.replace(row, best_params=nudged),
+                    dataclasses.replace(row, evaluations=row.evaluations + 1),
+                    dataclasses.replace(row, start_records=row.start_records[:1])):
+        assert changed != row
 
 
 def test_sweep_row_reproducible_from_best_params():
