@@ -8,13 +8,9 @@ input. Thin the resource down and exactness dies immediately.
 
 import numpy as np
 
-from qteleport import (
-    angle_channel,
-    bbcjpw_protocol,
-    haar_random_pure,
-    pure_density,
-    run_teleport,
-)
+from qteleport.channels import angle_channel
+from qteleport.states import haar_random_pure, pure_density
+from qteleport.teleport import bbcjpw_protocol, run_teleport
 
 protocol = bbcjpw_protocol()
 bell = angle_channel(np.pi / 4)

@@ -9,14 +9,14 @@ positions of each input along the chord.
 
 import numpy as np
 
-from qteleport import (
+from qteleport.linalg import frobenius
+from qteleport.states import (
     bloch_from_density,
     commutator_norm,
     density_from_bloch,
     extreme_decomposition,
     pure_density,
 )
-from qteleport.linalg import frobenius
 
 rho1 = density_from_bloch([0, 0, 0.5])
 rho2 = density_from_bloch([0.5, 0, 0])

@@ -9,17 +9,17 @@ of a unitary on system (x) environment (dilation).
 
 import numpy as np
 
-from qteleport import (
+from qteleport.channels import (
     apply_kraus,
-    bbcjpw_protocol,
     dilate,
     protocol_from_json,
     protocol_to_json,
     purify,
-    random_density_matrix,
     random_local_protocol,
 )
 from qteleport.linalg import frobenius
+from qteleport.states import random_density_matrix
+from qteleport.teleport import bbcjpw_protocol
 
 protocol = bbcjpw_protocol()
 print(f"Bell protocol: {len(protocol)} Kraus pairs, completeness residual "

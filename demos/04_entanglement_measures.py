@@ -9,11 +9,9 @@ pure state.
 
 import numpy as np
 
-from qteleport import (
-    entangled_pair_ket,
-    entanglement_report,
-    pure_density,
-)
+from qteleport.channels import entangled_pair_ket
+from qteleport.entanglement import entanglement_report
+from qteleport.states import pure_density
 
 print(f"{'angle':>8} {'entropy':>10} {'concurrence':>12} {'eof':>10} "
       f"{'fef':>10} {'maximal':>8}")

@@ -8,15 +8,10 @@ coherence across the basis: |+> comes out maximally mixed.
 
 import numpy as np
 
-from qteleport import (
-    classical_commuting_protocol,
-    concurrence,
-    density_from_bloch,
-    product_channel,
-    pure_density,
-    run_teleport,
-)
+from qteleport.entanglement import concurrence
 from qteleport.linalg import partial_trace
+from qteleport.states import density_from_bloch, pure_density
+from qteleport.teleport import classical_commuting_protocol, product_channel, run_teleport
 
 ket0 = np.array([1, 0], dtype=complex)
 ket1 = np.array([0, 1], dtype=complex)

@@ -12,9 +12,10 @@ the acceptance suite and via `qteleport sweep`.
 
 import numpy as np
 
-from qteleport import is_maximally_entangled, sweep_channel_angle, sweep_to_csv
 from qteleport.channels import angle_channel
+from qteleport.entanglement import is_maximally_entangled
 from qteleport.linalg import partial_trace
+from qteleport.optimize import sweep_channel_angle, sweep_to_csv
 
 ket0 = np.array([1, 0], dtype=complex)
 plus = np.array([1, 1], dtype=complex) / np.sqrt(2)

@@ -89,7 +89,7 @@ class LocalKrausProtocol:
 
 def require_complete(p: LocalKrausProtocol) -> None:
     residual = p.completeness_residual
-    if residual > COMPLETENESS_TOL:
+    if not residual <= COMPLETENESS_TOL:  # a NaN residual fails too
         raise IncompleteProtocolError(
             f"Kraus pairs do not resolve the identity "
             f"(residual {residual:.3e} > {COMPLETENESS_TOL:.0e})",
@@ -176,13 +176,10 @@ class Purification:
     psi: np.ndarray
     ancilla_dim: int
 
-    def system_dim(self) -> int:
-        return self.psi.size // self.ancilla_dim
-
     def reduce(self) -> np.ndarray:
         """Trace out M, recovering the original density matrix."""
         rho = np.outer(self.psi, self.psi.conj())
-        return partial_trace(rho, [self.system_dim(), self.ancilla_dim], keep={0})
+        return partial_trace(rho, [self.psi.size // self.ancilla_dim, self.ancilla_dim], keep={0})
 
 
 def purify(rho) -> Purification:
@@ -217,13 +214,10 @@ class Dilation:
     u: np.ndarray
     env_dim: int
 
-    def system_dim(self) -> int:
-        return self.u.shape[0] // self.env_dim
-
     def apply(self, rho) -> np.ndarray:
         """Conjugate (rho (x) |0><0|_E) by u and trace out the environment."""
         rho = np.asarray(rho, dtype=np.complex128)
-        d = self.system_dim()
+        d = self.u.shape[0] // self.env_dim
         if rho.shape != (d, d):
             raise DimensionError(f"expected a system state of dim {d}, got {rho.shape}")
         env0 = np.zeros((self.env_dim, self.env_dim), dtype=np.complex128)
@@ -287,7 +281,7 @@ def random_local_protocol(
     return LocalKrausProtocol(pairs=pairs, alice_dim=alice_dim, bob_dim=bob_dim)
 
 
-def protocol_to_json(p: LocalKrausProtocol, indent: int = 2) -> str:
+def protocol_to_json(p: LocalKrausProtocol) -> str:
     """Serialize with [re, im] entry pairs; round-trips doubles exactly."""
     doc = {
         "alice_dim": p.alice_dim,
@@ -297,11 +291,12 @@ def protocol_to_json(p: LocalKrausProtocol, indent: int = 2) -> str:
             for a, b in p.pairs
         ],
     }
-    return jsonio.dumps(doc, indent=indent)
+    return jsonio.dumps(doc)
 
 
 def protocol_from_json(text: str) -> LocalKrausProtocol:
-    """Parse `protocol_to_json` output; a missing field raises ValueError naming it."""
+    """Parse `protocol_to_json` output; a missing or mistyped field raises
+    ValueError naming it. The dims must be JSON integers and ``pairs`` a list."""
     doc = json.loads(text)
 
     def get(obj, key, where):
@@ -318,9 +313,15 @@ def protocol_from_json(text: str) -> LocalKrausProtocol:
                 f"protocol JSON: {where} field {key!r} is not rows of [re, im] pairs"
             ) from exc
 
+    def typed(key, kind, what):
+        value = get(doc, key, "document")
+        if not isinstance(value, kind) or isinstance(value, bool):  # bool is an int
+            raise ValueError(f"protocol JSON: document field {key!r} is not {what}")
+        return value
+
     pairs = tuple(
         tuple(factor(entry, key, f"pair {i}") for key in "ab")
-        for i, entry in enumerate(get(doc, "pairs", "document"))
+        for i, entry in enumerate(typed("pairs", list, "a list"))
     )
-    dims = {key: int(get(doc, key, "document")) for key in ("alice_dim", "bob_dim")}
+    dims = {key: typed(key, int, "an integer") for key in ("alice_dim", "bob_dim")}
     return LocalKrausProtocol(pairs=pairs, **dims)

@@ -149,7 +149,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
-    _emit(jsonio.dumps(doc, indent=2) + "\n", path)
+    _emit(jsonio.dumps(doc) + "\n", path)
 
 
 # ---------------------------------------------------------------------------

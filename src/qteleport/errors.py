@@ -25,10 +25,6 @@ class CommutingInputError(ValueError):
         self.commutator_norm = commutator_norm
 
 
-class DegenerateInputError(ValueError):
-    """The two input states are numerically identical."""
-
-
 class IncompleteProtocolError(ValueError):
     """Kraus pairs do not resolve the identity within tolerance."""
 

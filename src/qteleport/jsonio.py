@@ -13,8 +13,7 @@ import numpy as np
 def format_float(x: float) -> str:
     if isinstance(x, float) and (x != x or x in (float("inf"), float("-inf"))):
         raise ValueError("non-finite float cannot be serialized")
-    s = "%.17g" % float(x)
-    return s
+    return "%.17g" % float(x)
 
 
 def complex_pair(z) -> list:
@@ -35,21 +34,17 @@ def matrix_from_pairs(rows) -> np.ndarray:
     )
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/str/int/float structures deterministically."""
-    pad = " " * indent
+def dumps(obj) -> str:
+    """Serialize nested dict/list/str/int/float structures deterministically,
+    one dict entry per line, indented two spaces a level."""
 
     def emit(o, depth):
         if isinstance(o, dict):
             if not o:
                 return "{}"
-            items = [
-                f"{pad * (depth + 1)}{json.dumps(str(k))}: {emit(v, depth + 1)}"
-                for k, v in o.items()
-            ]
-            sep = ",\n" if indent else ", "
-            open_, close = ("{\n", f"\n{pad * depth}}}") if indent else ("{", "}")
-            return open_ + sep.join(items) + close
+            pad = "  " * (depth + 1)
+            items = [f"{pad}{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()]
+            return "{\n" + ",\n".join(items) + "\n" + "  " * depth + "}"
         if isinstance(o, (list, tuple)):
             inner = ", ".join(emit(v, depth + 1) for v in o)
             return f"[{inner}]"

@@ -103,10 +103,10 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def fix_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rescale a vector so its first amplitude of magnitude > tol is real positive."""
+def fix_phase(vec: np.ndarray) -> np.ndarray:
+    """Rescale a vector so its first amplitude of magnitude > 1e-12 is real positive."""
     v = np.asarray(vec, dtype=np.complex128)
-    idx = np.flatnonzero(np.abs(v) > tol)
+    idx = np.flatnonzero(np.abs(v) > 1e-12)
     if idx.size == 0:
         return v
     pivot = v[idx[0]]

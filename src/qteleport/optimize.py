@@ -124,10 +124,11 @@ def decode_protocol(params) -> LocalKrausProtocol:
     return LocalKrausProtocol(pairs=pairs, alice_dim=4, bob_dim=4)
 
 
-# Sender parameters of the Bell measurement: the Hermitian logarithm of
-# bell_unitary() taken once through a complex Schur form. The ~1e-16 entries
-# are that factorization's roundoff, kept so that every sweep trajectory from
-# the Bell start stays bit-identical and no LAPACK build can shift it.
+# Sender parameters of the Bell measurement: the Hermitian logarithm of the
+# unitary whose columns are bell_states(), taken once through a complex Schur
+# form. The ~1e-16 entries are that factorization's roundoff, kept so that
+# every sweep trajectory from the Bell start stays bit-identical and no LAPACK
+# build can shift it.
 _BELL_ALICE_PARAMS = (
     -1.3877787807814457e-16, -2.498001805406602e-16, -5.551115123125783e-17,
     1.6653345369377348e-15, 2.498001805406602e-16, -0.6045997880780722,
@@ -344,10 +345,9 @@ def _simplex_search(init, max_evals, ladder):
 
         total += evals
         remaining -= evals
-        best_idx = int(np.argmin(values))
-        leg_best = -float(values[best_idx])
+        leg_best = -values[0]  # the sorted order puts the leg's best first, NaNs last
         if best_objective is None or leg_best > best_objective:
-            best_params, best_objective = simplex[best_idx].copy(), leg_best
+            best_params, best_objective = simplex[0].copy(), leg_best
             best_converged = converged
         if best_objective >= 1.0 - 1e-12:
             break

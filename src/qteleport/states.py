@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutingInputError, DegenerateInputError, DimensionError, NotPositiveError
+from .errors import CommutingInputError, DimensionError, NotPositiveError
 from .linalg import PSD_CLAMP_TOL, dagger, fix_phase, frobenius
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -187,8 +187,10 @@ def extreme_decomposition(rho1, rho2) -> ExtremeDecomposition:
     pure states psi (larger t, i.e. the far intersection along r1 -> r2)
     and phi (smaller t). The weights lam_j place each rho_j on that chord.
 
-    Raises CommutingInputError when the commutator norm is at most 1e-8 and
-    DegenerateInputError when the two states coincide.
+    Raises CommutingInputError when the commutator norm is at most 1e-8.
+    That covers coinciding states too: the norm is
+    |r1 x r2| / sqrt(2) <= |r2 - r1| / sqrt(2), so the chord direction of
+    an accepted pair is longer than 1e-8.
     """
     m1 = check_density_matrix(rho1, dim=2)
     m2 = check_density_matrix(rho2, dim=2)
@@ -202,8 +204,6 @@ def extreme_decomposition(rho1, rho2) -> ExtremeDecomposition:
     r1 = bloch_from_density(m1)
     r2 = bloch_from_density(m2)
     d = r2 - r1
-    if np.linalg.norm(d) < 1e-10:
-        raise DegenerateInputError("input states coincide; no chord through them")
 
     # |r1 + t d|^2 = 1, guaranteed to have two real roots since r1 is inside
     # (or on) the unit ball and d is nonzero.

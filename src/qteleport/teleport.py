@@ -58,11 +58,6 @@ def bell_states() -> list[np.ndarray]:
     ]
 
 
-def bell_unitary() -> np.ndarray:
-    """4x4 unitary whose columns are the Bell basis in the order above."""
-    return np.column_stack(bell_states())
-
-
 # Correction paired with each Bell outcome, applied to particle 2 after the
 # B->2 routing swap.
 BELL_CORRECTIONS = (_ID2, SIGMA_Z, SIGMA_X, SIGMA_Y)

@@ -92,7 +92,7 @@ def test_c1_exact_teleportation_baseline():
 
 def test_c2_superposition_propagation():
     """100 non-orthogonal pairs x 20 superpositions, all exact."""
-    checks = {c.check: c for c in linearity_suite(seed=201, runs=100, specs_per_run=20)}
+    checks = {c.check: c for c in linearity_suite(seed=201, specs_per_run=20)}
     worst = checks["superpositions_teleported_exactly"].residual
     passed = worst <= 1e-9
     report("2", passed, f"2000 superpositions, worst 1 - fidelity {worst:.3e}")
@@ -164,7 +164,7 @@ def test_c4_extreme_reduction_implication():
 
 def test_c5_dilation_soundness():
     """50 random protocols: unitarity and Kraus equality on 10 probes each."""
-    checks = {c.check: c for c in dilation_suite(seed=501, n_protocols=50, probes=10)}
+    checks = {c.check: c for c in dilation_suite(seed=501)}
     worst_unitary = checks["dilation_unitarity_residual"].residual
     worst_channel = checks["dilation_reproduces_kraus_map"].residual
     passed = worst_unitary < 1e-9 and worst_channel < 1e-9

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ def test_apply_rejects_incomplete_protocol():
     )
     with pytest.raises(IncompleteProtocolError):
         apply_protocol(random_density_matrix(2, 1), angle_channel(np.pi / 4), p)
+
+
+def test_non_finite_protocol_is_incomplete():
+    # A NaN entry makes the completeness residual NaN, which must not pass
+    # the tolerance comparison.
+    pairs = [(a.copy(), b) for a, b in bbcjpw_protocol().pairs]
+    pairs[0][0][1, 2] = np.nan
+    p = LocalKrausProtocol(pairs=tuple(pairs), alice_dim=4, bob_dim=4)
+    assert np.isnan(p.completeness_residual)
+    with pytest.raises(IncompleteProtocolError):
+        apply_protocol(random_density_matrix(2, 1), angle_channel(np.pi / 4), p)
+    with pytest.raises(IncompleteProtocolError):
+        dilate(p)
 
 
 def test_teleported_output_product_state():
@@ -243,6 +258,14 @@ def test_protocol_json_round_trip_bbcjpw():
     for (a1, b1), (a2, b2) in zip(p.pairs, q.pairs):
         assert np.array_equal(a1, a2)
         assert np.array_equal(b1, b2)
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2"])
+def test_protocol_json_dims_must_be_integers(dim):
+    text = protocol_to_json(random_local_protocol(61))  # alice_dim 2
+    text = text.replace('"alice_dim": 2', f'"alice_dim": {json.dumps(dim)}')
+    with pytest.raises(ValueError, match="field 'alice_dim' is not an integer"):
+        protocol_from_json(text)
 
 
 def test_protocol_data_is_read_only_copies():

@@ -275,6 +275,10 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
         (["teleport", "--input", "1e200:0,1e200:0"], None, None),
         (["decompose", "--bloch1", "1e200,1e200,0", "--bloch2", "1,0,0"], None, None),
         (["teleport", "--input", "1e200:0,1e200:0;0:0,0:0"], None, None),
+        (_TELEPORT_FILE, None, {"alice_dim": None, "bob_dim": 4, "pairs": []}),
+        (_TELEPORT_FILE, None, {"alice_dim": [4], "bob_dim": 4, "pairs": []}),
+        (_TELEPORT_FILE, None, '{"alice_dim": 1e400, "bob_dim": 4, "pairs": []}'),
+        (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": 5}),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
@@ -283,7 +287,9 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
          "teleport-angle-inf", "entangle-angle-inf", "tol-exact-out-of-range", "tol-exact-nan",
          "channel-angle-and-pair", "entangle-state-and-angle", "decompose-bloch-and-rho",
          "teleport-basis-without-classical", "dilate-basis-without-classical",
-         "ket-entry-overflow", "bloch-entry-overflow", "matrix-entry-overflow"],
+         "ket-entry-overflow", "bloch-entry-overflow", "matrix-entry-overflow",
+         "protocol-dim-null", "protocol-dim-list", "protocol-dim-overflow",
+         "protocol-pairs-number"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, json_doc
@@ -292,7 +298,8 @@ def test_malformed_input_exits_2_without_traceback(
         monkeypatch.setenv("QTELEPORT_SEED", env_seed)
     if json_doc is not None:
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(json_doc))
+        # a string is written as it stands, for JSON that json.dumps cannot emit
+        path.write_text(json_doc if isinstance(json_doc, str) else json.dumps(json_doc))
         argv = [*argv, f"@{path}"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

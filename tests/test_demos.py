@@ -1,0 +1,25 @@
+"""Each demo runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr

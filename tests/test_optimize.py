@@ -29,7 +29,7 @@ from qteleport.states import (
     pure_density,
     random_density_matrix,
 )
-from qteleport.teleport import bbcjpw_protocol, bell_unitary, run_teleport
+from qteleport.teleport import bbcjpw_protocol, bell_states, run_teleport
 
 KET0 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -106,7 +106,7 @@ def test_bbcjpw_equivalent_params_match_protocol_action():
     decoded = decode_protocol(bbcjpw_equivalent_params())
     reference = bbcjpw_protocol()
     assert np.allclose(decode_alice_unitary(bbcjpw_equivalent_params()[:N_ALICE_PARAMS]),
-                       bell_unitary(), atol=1e-10)
+                       np.column_stack(bell_states()), atol=1e-10)
     rng = np.random.default_rng(85)
     for _ in range(10):
         rho = random_density_matrix(2, rng)
@@ -236,6 +236,21 @@ def test_nelder_mead_keeps_nan_vertices_last():
     assert result.evaluations == 86
     assert result.converged is True
     assert result.best_params.tobytes().hex() == "9c4d79d9fcffef3f6aa7724a0700f0bf"
+
+
+def test_nelder_mead_best_is_never_a_nan_vertex():
+    # The initial simplex scores (-2, nan, nan) and the budget ends there:
+    # the leg's best is its first sorted vertex, not the first NaN.
+    def objective(x):
+        if x[0] + x[1] > 0.05:
+            return math.nan
+        return -((x[0] - 1.0) ** 2 + (x[1] + 1.0) ** 2)
+
+    result = nelder_mead(objective, [0.0, 0.0], max_evals=3)
+    assert result.best_objective == -2.0
+    assert result.best_params.tolist() == [0.0, 0.0]
+    assert result.evaluations == 3
+    assert result.converged is False
 
 
 def test_nelder_mead_converges_by_diameter():

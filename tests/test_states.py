@@ -169,6 +169,13 @@ def test_extreme_decomposition_rejects_commuting():
     with pytest.raises(CommutingInputError) as info:
         extreme_decomposition(density_from_bloch([0, 0, 0.2]), density_from_bloch([0, 0, 0.7]))
     assert info.value.commutator_norm <= 1e-8
+    # Coinciding states commute too: the norm is at most |r2 - r1| / sqrt(2),
+    # so no pair reaches the chord construction with r1 == r2.
+    rho = density_from_bloch([0.3, -0.4, 0.5])
+    near = density_from_bloch([0.3, -0.4, 0.5 + 1e-11])
+    for rho2 in (rho, near):
+        with pytest.raises(CommutingInputError):
+            extreme_decomposition(rho, rho2)
 
 
 # ---------------------------------------------------------------------------
