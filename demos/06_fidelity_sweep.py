@@ -4,18 +4,20 @@ For the fixed pair |0>, |+> and a resource cos(t)|00> + sin(t)|11>, a
 multistart simplex search over one-round protocols (orthogonal measurement
 by the sender, outcome-conditioned correction by the receiver) finds the
 best achievable worst-case fidelity. It reaches 1 only at the maximal
-angle; every thinner resource caps strictly below 1.
+angle; every thinner resource caps strictly below 1. The one-ebit verdict
+is judged on the A:B resource state itself, as `qteleport sweep` judges it.
 
 This demo uses reduced settings for speed; the full 32-start grid runs in
-the acceptance suite and via `qteleport sweep`.
+the acceptance suite and via `qteleport sweep`, which also writes the rows
+as JSON or, with `--output-format csv`, as CSV with 17 significant digits.
 """
 
 import numpy as np
 
-from qteleport.channels import angle_channel
+from qteleport.channels import entangled_pair_ket
 from qteleport.entanglement import is_maximally_entangled
-from qteleport.linalg import partial_trace
-from qteleport.optimize import sweep_channel_angle, sweep_to_csv
+from qteleport.optimize import sweep_channel_angle
+from qteleport.states import pure_density
 
 ket0 = np.array([1, 0], dtype=complex)
 plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -25,11 +27,8 @@ rows = sweep_channel_angle(grid, ket0, plus, starts=4, seed=0, max_evals=6000)
 
 print(f"{'theta':>10} {'entropy':>10} {'best min fidelity':>18} {'1 ebit?':>8}")
 for row in rows:
-    marginal = partial_trace(angle_channel(row.theta), [4, 2], keep={0})
-    maximal = is_maximally_entangled(marginal, 1e-6)
+    maximal = is_maximally_entangled(pure_density(entangled_pair_ket(row.theta)), 1e-6)
     print(f"{row.theta:>10.6f} {row.channel_entropy:>10.6f} "
           f"{row.best_min_fidelity:>18.12f} {str(maximal):>8}")
 
-print("\nCSV form (17 significant digits):")
-print(sweep_to_csv(rows))
-print("Exactness appears exactly where the verdict flips to True.")
+print("\nExactness appears exactly where the verdict flips to True.")

@@ -48,9 +48,16 @@ def general_path_min_fidelity(vec: np.ndarray, channel: np.ndarray) -> float:
     return min(fids)
 
 
+def scalar_objective(channel: np.ndarray):
+    """The sweep objective for the pair on one channel, as a function of one
+    (28,) vector: a batch of one through the package's batched kernel."""
+    objective = _PairObjective([channel], CHI1, CHI2)
+    return lambda vec: float(objective.evaluate(np.reshape(vec, (1, N_PARAMS)), [0])[0])
+
+
 def reference_value(theta: float, n_random: int, seed: int = 20240915) -> float:
     channel = channels.angle_channel(theta)
-    objective = _PairObjective(channel, CHI1, CHI2)
+    objective = scalar_objective(channel)
     neg = lambda v: -objective(v)
 
     rng = np.random.default_rng(seed)

@@ -75,13 +75,14 @@ class LocalKrausProtocol:
                 )
             if a.shape != a0.shape or b.shape != b0.shape:
                 raise DimensionError("all Kraus pairs must share the same shapes")
-        object.__setattr__(self, "kraus", _frozen(np.stack([kron(a, b) for a, b in pairs])))
-        total = np.zeros((self.alice_dim * self.bob_dim,) * 2, dtype=np.complex128)
-        for a, b in pairs:
-            total += kron(dagger(a) @ a, dagger(b) @ b)
-        object.__setattr__(
-            self, "completeness_residual", frobenius(total - np.eye(total.shape[0]))
-        )
+        # overflow leaves a non-finite residual, which require_complete rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "kraus", _frozen(np.stack([kron(a, b) for a, b in pairs])))
+            total = np.zeros((self.alice_dim * self.bob_dim,) * 2, dtype=np.complex128)
+            for a, b in pairs:
+                total += kron(dagger(a) @ a, dagger(b) @ b)
+            residual = frobenius(total - np.eye(total.shape[0]))
+        object.__setattr__(self, "completeness_residual", residual)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -189,10 +190,9 @@ def purify(rho) -> Purification:
     inputs get a trivial one-dimensional ancilla.
     """
     m = check_density_matrix(rho)
-    eig = eig_hermitian(m)
-    order = np.argsort(eig.eigenvalues)[::-1]
-    vals = eig.eigenvalues[order]
-    vecs = eig.eigenvectors[:, order]
+    vals, vecs = eig_hermitian(m)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
     rank = max(1, int(np.sum(vals > 1e-12)))
     d = m.shape[0]
     psi = np.zeros(d * rank, dtype=np.complex128)

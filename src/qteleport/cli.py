@@ -37,7 +37,7 @@ from .entanglement import (
     is_maximally_entangled,
 )
 from .errors import CommutingInputError
-from .linalg import frobenius, partial_trace
+from .linalg import frobenius
 from .states import (
     check_density_matrix,
     check_pure_state,
@@ -47,7 +47,7 @@ from .states import (
 )
 from .suites import dilation_residuals, run_suite
 from .teleport import TOL_EXACT, bbcjpw_protocol, classical_commuting_protocol, run_teleport
-from .optimize import sweep_channel_angle, sweep_to_csv
+from .optimize import sweep_channel_angle
 
 ENV_SEED = "QTELEPORT_SEED"
 
@@ -243,15 +243,16 @@ def cmd_sweep(args) -> int:
     chi2 = parse_ket(args.chi2, dim=2)
     check_tol(args.tol_maximal)
     rows = sweep_channel_angle(thetas, chi1, chi2, starts=args.starts, seed=args.seed)
-    verdicts = []
+    records = []
     for row in rows:
-        marginal = partial_trace(angle_channel(row.theta), [4, 2], keep={0})
-        verdicts.append(is_maximally_entangled(marginal, tol=args.tol_maximal))
+        record = {key: getattr(row, key) for key in
+                  ("theta", "channel_entropy", "best_min_fidelity", "starts", "evaluations")}
+        resource = pure_density(entangled_pair_ket(row.theta))
+        record["is_maximal"] = is_maximally_entangled(resource, tol=args.tol_maximal)
+        records.append(record)
     if args.output_format == "csv":
-        base = sweep_to_csv(rows).splitlines()
-        lines = [base[0] + ",is_maximal"]
-        for line, verdict in zip(base[1:], verdicts):
-            lines.append(f"{line},{'true' if verdict else 'false'}")
+        lines = [",".join(records[0])]  # the header; a sweep has at least one angle
+        lines.extend(",".join(jsonio.dumps(v) for v in record.values()) for record in records)
         _emit("\n".join(lines) + "\n", args.output)
     else:
         doc = {
@@ -260,17 +261,7 @@ def cmd_sweep(args) -> int:
             "starts": args.starts,
             "seed": args.seed,
             "tol_maximal": args.tol_maximal,
-            "rows": [
-                {
-                    "theta": row.theta,
-                    "channel_entropy": row.channel_entropy,
-                    "best_min_fidelity": row.best_min_fidelity,
-                    "starts": row.starts,
-                    "evaluations": row.evaluations,
-                    "is_maximal": verdict,
-                }
-                for row, verdict in zip(rows, verdicts)
-            ],
+            "rows": records,
         }
         _emit_json(doc, args.output)
     return 0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, eig_hermitian, psd_sqrt
+from .linalg import _column_phases, dagger, eig_hermitian, psd_sqrt
 from .states import SIGMA_Y, check_density_matrix, check_pure_state
 
 DEFAULT_MAXIMAL_TOL = 1e-6
@@ -62,19 +62,12 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
     m = v.reshape(da, db)
     left, coeffs, right_h = np.linalg.svd(m)
     k = min(da, db)
-    left_cols = []
-    right_cols = []
-    for j in range(k):
-        l = left[:, j]
-        sig = np.flatnonzero(np.abs(l) > 1e-12)
-        factor = abs(l[sig[0]]) / l[sig[0]] if sig.size else 1.0
-        # move the phase onto the right factor so the product is unchanged
-        left_cols.append(l * factor)
-        right_cols.append(right_h[j, :] * np.conj(factor))
+    phases = _column_phases(left[:, :k])
+    # the right factor takes the conjugate phase, so each product is unchanged
     return SchmidtDecomposition(
         coefficients=coeffs[:k],
-        left_basis=np.column_stack(left_cols),
-        right_basis=np.column_stack(right_cols),
+        left_basis=left[:, :k] * phases,
+        right_basis=right_h[:k].T * phases.conj(),
     )
 
 
@@ -159,7 +152,7 @@ def entanglement_report(rho, tol: float = DEFAULT_MAXIMAL_TOL) -> EntanglementRe
     eof = _eof_from_concurrence(c)
     purity = float(np.trace(m @ m).real)
     if purity >= 1.0 - 1e-10:
-        top = eig_hermitian(m).eigenvectors[:, -1]
+        top = eig_hermitian(m)[1][:, -1]
         entropy = entropy_of_entanglement(top, (2, 2))
     else:
         entropy = eof

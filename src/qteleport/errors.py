@@ -25,6 +25,10 @@ class CommutingInputError(ValueError):
         self.commutator_norm = commutator_norm
 
 
+class DegenerateChordError(ValueError):
+    """Two qubit states lie too close for their chord to fix a decomposition."""
+
+
 class IncompleteProtocolError(ValueError):
     """Kraus pairs do not resolve the identity within tolerance."""
 

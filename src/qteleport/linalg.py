@@ -6,8 +6,6 @@ everything else: Kronecker products, adjoints, partial traces, Hermitian
 eigendecompositions and PSD square roots.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, NonHermitianError, NotPositiveError
@@ -90,19 +88,6 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real ascending; the columns of ``eigenvectors`` are
-    the matching orthonormal eigenvectors, each with its first significant
-    amplitude made real positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rescale a vector so its first amplitude of magnitude > 1e-12 is real positive."""
     v = np.asarray(vec, dtype=np.complex128)
@@ -113,8 +98,19 @@ def fix_phase(vec: np.ndarray) -> np.ndarray:
     return v * (abs(pivot) / pivot)
 
 
-def eig_hermitian(h: np.ndarray) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def _column_phases(vecs: np.ndarray) -> np.ndarray:
+    """Unit factors making each column's first amplitude of magnitude > 1e-12
+    real positive, the rule of ``fix_phase``; every column must have one.
+    Array division can round differently from fix_phase's scalar one."""
+    pivots = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
+    return np.abs(pivots) / pivots
+
+
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix as ``(values, vectors)``,
+    like ``np.linalg.eigh``: real values ascending, and orthonormal
+    eigenvector columns, each with its first amplitude of magnitude > 1e-12
+    made real positive.
 
     Raises NonHermitianError when the relative Hermiticity defect exceeds
     1e-8. Degenerate eigenspaces come back in an arbitrary orthonormal
@@ -129,10 +125,7 @@ def eig_hermitian(h: np.ndarray) -> HermitianEigen:
             f"matrix is not Hermitian (relative defect {defect:.3e} > {HERMITIAN_RTOL:.0e})"
         )
     vals, vecs = np.linalg.eigh((h + dagger(h)) / 2.0)
-    # fix_phase on every column at once: the pivot is the first amplitude of
-    # magnitude > 1e-12, and a unit eigenvector always has one
-    pivots = vecs[(np.abs(vecs) > 1e-12).argmax(axis=0), np.arange(vecs.shape[1])]
-    return HermitianEigen(eigenvalues=vals, eigenvectors=vecs * (np.abs(pivots) / pivots))
+    return vals, vecs * _column_phases(vecs)
 
 
 def psd_sqrt(p: np.ndarray) -> np.ndarray:
@@ -143,14 +136,12 @@ def psd_sqrt(p: np.ndarray) -> np.ndarray:
     numerical-zero band (dim * eps * max) are snapped to exact zeros so that
     rank-deficient inputs don't leak sqrt(eps)-sized noise into the root.
     """
-    eig = eig_hermitian(p)
-    vals = eig.eigenvalues
+    vals, v = eig_hermitian(p)
     if vals[0] < -PSD_CLAMP_TOL:
         raise NotPositiveError(
             f"eigenvalue {vals[0]:.3e} below the -{PSD_CLAMP_TOL:.0e} clamp threshold"
         )
     np.clip(vals, 0.0, None, out=vals)
     vals[vals < vals[-1] * vals.size * np.finfo(float).eps] = 0.0
-    v = eig.eigenvectors
     root = (v * np.sqrt(vals)) @ dagger(v)
     return (root + dagger(root)) / 2.0

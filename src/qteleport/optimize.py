@@ -22,8 +22,8 @@ restart ladder is a generator that yields the points its simplex needs
 next; one scheduler gathers the pending points of all unfinished starts
 into a single batched objective call per round, each row tagged with its
 angle, and sends each start its slice of the values. The batched kernel
-reproduces the scalar evaluation bit for bit, so every start follows the
-trajectory it would follow alone.
+scores each row as it would in a batch of one, bit for bit, so every start
+follows the trajectory it would follow alone.
 """
 
 from bisect import bisect_right
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jsonio
 from .channels import LocalKrausProtocol, angle_channel, entangled_pair_ket
 from .entanglement import entropy_of_entanglement
 from .errors import DimensionError
@@ -152,17 +151,13 @@ class _PairObjective:
     without materializing 16x16 operators: with a rank-one sender projector
     the joint Kraus image of a product vector factorizes, so each term
     costs a handful of 4x4 products. ``evaluate`` scores a batch of
-    parameter vectors, each row on its own channel; the scalar call is a
-    batch of one on the first channel, through the same kernel.
+    parameter vectors, each row on its own channel of the list.
     """
 
-    def __init__(self, channel_rho, chi1, chi2):
-        rhos = np.asarray(channel_rho)
-        if rhos.ndim == 2:
-            rhos = rhos[None]
+    def __init__(self, channels, chi1, chi2):
         chis = check_nonorthogonal_pair(chi1, chi2)
-        eigs = [eig_hermitian(check_density_matrix(rho, dim=8)) for rho in rhos]
-        keeps = [eig.eigenvalues > 1e-12 for eig in eigs]
+        eigs = [eig_hermitian(check_density_matrix(rho, dim=8)) for rho in channels]
+        keeps = [vals > 1e-12 for vals, _ in eigs]
         rank = max(int(keep.sum()) for keep in keeps)
         # Channels of lower rank are padded with zero weights and zero
         # vectors: each padded term adds 0.0 * x, which is exact.
@@ -170,22 +165,19 @@ class _PairObjective:
         # v4[j, k, c]: kron(chi_j, w_k of channel c) viewed as
         # (sender 1A) x (receiver B2)
         self.v4 = np.zeros((2, rank, len(eigs), 4, 4), dtype=np.complex128)
-        for c, (eig, keep) in enumerate(zip(eigs, keeps)):
-            self.weights[c, : keep.sum()] = eig.eigenvalues[keep]
-            vecs = eig.eigenvectors[:, keep]
+        for c, ((vals, vecs), keep) in enumerate(zip(eigs, keeps)):
+            self.weights[c, : keep.sum()] = vals[keep]
+            vecs = vecs[:, keep]
             for j, chi in enumerate(chis):
                 for k in range(vecs.shape[1]):
                     self.v4[j, k, c] = np.kron(chi, vecs[:, k]).reshape(4, 4)
         # conj(chi_j) as a column, broadcast over (k, b, outcome)
         self._chi_conj = np.array(chis).conj()[:, None, None, None, :, None]
 
-    def __call__(self, vec) -> float:
-        return float(self.evaluate(np.reshape(vec, (1, N_PARAMS)), _FIRST_CHANNEL)[0])
-
     def evaluate(self, points, channel_index) -> np.ndarray:
         """Objective of each row of ``points`` (B, 28) on channel
-        ``channel_index[b]``; every row equals its own scalar evaluation
-        bit for bit."""
+        ``channel_index[b]``; every row equals its own evaluation in a batch
+        of one, bit for bit."""
         u, bstack = _split_params(np.asarray(points, dtype=float))
         u_dag = u.conj().swapaxes(-1, -2)
 
@@ -203,13 +195,11 @@ class _PairObjective:
         return np.maximum(np.fmin(np.fmin(1.0, fids[0]), fids[1]), 0.0)
 
 
-_FIRST_CHANNEL = np.zeros(1, dtype=int)
-
-
 def pair_objective(params, channel_rho, chi1, chi2) -> float:
     """Worst teleportation fidelity over the two states, for one (28,)
     parameter vector."""
-    return _PairObjective(channel_rho, chi1, chi2)(_checked_params(params))
+    objective = _PairObjective([channel_rho], chi1, chi2)
+    return float(objective.evaluate(_checked_params(params)[None], [0])[0])
 
 
 @dataclass(frozen=True)
@@ -406,8 +396,8 @@ class SweepRow:
 
     ``best_params`` is the winning (28,) vector; ``decode_protocol`` turns
     it into the protocol. ``start_records`` holds one record per start,
-    Bell start first; it is diagnostic only and left out of repr and the
-    CSV. Rows are equal when every field is, ``best_params`` by value.
+    Bell start first; it is diagnostic only and left out of repr. Rows are
+    equal when every field is, ``best_params`` by value.
     """
 
     theta: float
@@ -462,7 +452,7 @@ def sweep_channel_angle(
         raise ValueError("starts must be >= 1")
 
     order = np.argsort(thetas)
-    objective = _PairObjective(np.array([angle_channel(thetas[i]) for i in order]), chi1, chi2)
+    objective = _PairObjective([angle_channel(thetas[i]) for i in order], chi1, chi2)
     theta_seeds = np.random.SeedSequence(seed).spawn(len(thetas))
     searches = []
     for idx in order:
@@ -495,23 +485,3 @@ def sweep_channel_angle(
         )
     return rows
 
-
-SWEEP_CSV_COLUMNS = ("theta", "channel_entropy", "best_min_fidelity", "starts", "evaluations")
-
-
-def sweep_to_csv(rows) -> str:
-    """Fixed-column CSV with 17-significant-digit floats."""
-    lines = [",".join(SWEEP_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    jsonio.format_float(row.theta),
-                    jsonio.format_float(row.channel_entropy),
-                    jsonio.format_float(row.best_min_fidelity),
-                    str(row.starts),
-                    str(row.evaluations),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

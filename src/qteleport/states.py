@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommutingInputError, DimensionError, NotPositiveError
+from .errors import CommutingInputError, DegenerateChordError, DimensionError, NotPositiveError
 from .linalg import PSD_CLAMP_TOL, dagger, fix_phase, frobenius
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -170,10 +170,13 @@ class ExtremeDecomposition:
 def _chord_weight(r: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
     """Solve r = lam*u + (1-lam)*v, checking consistency across coordinates."""
     d = u - v
-    lam = float((r - v) @ d / (d @ d))
+    length_sq = float(d @ d)
+    if length_sq == 0.0:
+        raise DegenerateChordError("states too close: their chord's sphere points coincide")
+    lam = float((r - v) @ d / length_sq)
     residual = np.max(np.abs(r - (lam * u + (1.0 - lam) * v)))
-    if residual > 1e-10:
-        raise ArithmeticError(
+    if not residual <= 1e-10:  # a NaN residual fails too
+        raise DegenerateChordError(
             f"chord weight inconsistent across coordinates (residual {residual:.3e})"
         )
     return lam
@@ -190,7 +193,8 @@ def extreme_decomposition(rho1, rho2) -> ExtremeDecomposition:
     Raises CommutingInputError when the commutator norm is at most 1e-8.
     That covers coinciding states too: the norm is
     |r1 x r2| / sqrt(2) <= |r2 - r1| / sqrt(2), so the chord direction of
-    an accepted pair is longer than 1e-8.
+    an accepted pair is longer than 1e-8, though rounding can still merge the
+    sphere points of nearly coincident pure states (DegenerateChordError).
     """
     m1 = check_density_matrix(rho1, dim=2)
     m2 = check_density_matrix(rho2, dim=2)

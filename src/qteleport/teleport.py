@@ -138,6 +138,14 @@ def _score(joint, intended) -> TeleportOutcome:
     return TeleportOutcome(output=output, fidelity=fidelity, exact=fidelity >= 1.0 - TOL_EXACT)
 
 
+def _teleport_each(p: LocalKrausProtocol, channel_rho, states) -> list[TeleportOutcome]:
+    """Teleport each already-checked qubit state through ``p`` and score it
+    against itself; the channel and protocol are checked once, first."""
+    rho_ch = check_density_matrix(channel_rho, dim=8)
+    require_teleport_protocol(p)
+    return [_score(apply_kraus(p, kron(rho, rho_ch)), rho) for rho in states]
+
+
 def superposition_state(chi1, chi2, a1: complex, a2: complex) -> np.ndarray:
     """a1|chi1> + a2|chi2>, which must already be unit norm."""
     v1 = check_pure_state(chi1, dim=2)
@@ -173,13 +181,9 @@ def linearity_check(
     superposition outcome exhibits the failure directly.
     """
     v1, v2 = check_nonorthogonal_pair(chi1, chi2)
-    rho_ch = check_density_matrix(channel_rho, dim=8)
-    require_teleport_protocol(p)
-    outcomes = []
-    for a1, a2 in specs:
-        rho = pure_density(superposition_state(v1, v2, a1, a2))
-        outcomes.append(_score(apply_kraus(p, kron(rho, rho_ch)), rho))
-    return outcomes
+    return _teleport_each(
+        p, channel_rho, (pure_density(superposition_state(v1, v2, a1, a2)) for a1, a2 in specs)
+    )
 
 
 @dataclass(frozen=True)
@@ -206,11 +210,8 @@ def extreme_reduction_check(
     m1 = check_density_matrix(rho1, dim=2)
     m2 = check_density_matrix(rho2, dim=2)
     dec = extreme_decomposition(m1, m2)
-    rho_ch = check_density_matrix(channel_rho, dim=8)
-    require_teleport_protocol(p)
-    o1, o2, opsi, ophi = (
-        _score(apply_kraus(p, kron(rho, rho_ch)), rho)
-        for rho in (m1, m2, pure_density(dec.psi), pure_density(dec.phi))
+    o1, o2, opsi, ophi = _teleport_each(
+        p, channel_rho, (m1, m2, pure_density(dec.psi), pure_density(dec.phi))
     )
     premise = o1.exact and o2.exact
     conclusion = opsi.exact and ophi.exact

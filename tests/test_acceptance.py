@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from qteleport.channels import angle_channel
+from qteleport.channels import angle_channel, entangled_pair_ket
 from qteleport.entanglement import concurrence, is_maximally_entangled
 from qteleport.linalg import frobenius, partial_trace
 from qteleport.optimize import sweep_channel_angle
@@ -179,8 +179,8 @@ def test_c6_theorem_signature_sweep():
     rows, runtime = run_acceptance_sweep()
     verdicts = {}
     for row in rows:
-        marginal = partial_trace(angle_channel(row.theta), [4, 2], keep={0})
-        verdicts[row.theta] = is_maximally_entangled(marginal, 1e-6)
+        resource = pure_density(entangled_pair_ket(row.theta))
+        verdicts[row.theta] = is_maximally_entangled(resource, 1e-6)
 
     top = rows[-1]
     assert abs(top.theta - np.pi / 4) < 1e-12

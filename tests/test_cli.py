@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -160,10 +161,19 @@ def test_verify_env_seed(capsys, monkeypatch):
 # sweep (tiny configurations to stay fast)
 
 
+# sha256 of the stdout of `sweep --thetas pi/8,pi/4 --starts 1 --seed 0`,
+# as JSON and as CSV
+_SWEEP_SHA256 = {
+    "json": "354f4baa76595564cdf522bb4598d3681d612453a88f54b1f94562a357cc224c",
+    "csv": "b46c194968569331086d998420e84c0ecde890b30ba873970fcbfbe5c7d2759b",
+}
+
+
 def test_sweep_json_shape_and_verdicts(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--thetas", "pi/8,pi/4", "--starts", "1",
                            "--seed", "0")
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SWEEP_SHA256["json"]
     doc = json.loads(out)
     assert [r["theta"] for r in doc["rows"]] == [np.pi / 8, np.pi / 4]
     assert doc["rows"][0]["is_maximal"] is False
@@ -172,11 +182,17 @@ def test_sweep_json_shape_and_verdicts(capsys):
 
 
 def test_sweep_csv_format(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--thetas", "pi/4", "--starts", "1",
+    code, out, _ = run_cli(capsys, "sweep", "--thetas", "pi/8,pi/4", "--starts", "1",
                            "--seed", "0", "--output-format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SWEEP_SHA256["csv"]
     lines = out.strip().split("\n")
     assert lines[0] == "theta,channel_entropy,best_min_fidelity,starts,evaluations,is_maximal"
-    assert lines[1].endswith(",true")
+    fields = [line.split(",") for line in lines[1:]]
+    assert [len(f) for f in fields] == [6, 6]
+    assert [float(f[0]) for f in fields] == [np.pi / 8, np.pi / 4]
+    assert [int(f[3]) for f in fields] == [1, 1]
+    assert [f[5] for f in fields] == ["false", "true"]
 
 
 def test_sweep_byte_identical_reruns(capsys, tmp_path):
@@ -279,6 +295,11 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
         (_TELEPORT_FILE, None, {"alice_dim": [4], "bob_dim": 4, "pairs": []}),
         (_TELEPORT_FILE, None, '{"alice_dim": 1e400, "bob_dim": 4, "pairs": []}'),
         (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": 5}),
+        # two pure states 2.9e-8 apart: rounding merges their chord's sphere points
+        (["decompose", "--bloch1=0.8103474193131788,-0.17710262590261314,0.5585442864365102",
+          "--bloch2=0.81034740613072,-0.1771026139498519,0.5585443093518577"], None, None),
+        (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": [
+            {"a": matrix_to_pairs(1e200 * np.eye(4)), "b": matrix_to_pairs(np.eye(4))}]}),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
@@ -289,7 +310,7 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
          "teleport-basis-without-classical", "dilate-basis-without-classical",
          "ket-entry-overflow", "bloch-entry-overflow", "matrix-entry-overflow",
          "protocol-dim-null", "protocol-dim-list", "protocol-dim-overflow",
-         "protocol-pairs-number"],
+         "protocol-pairs-number", "decompose-coincident-pure", "protocol-factor-overflow"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, json_doc

@@ -60,6 +60,20 @@ def test_schmidt_reconstructs_and_is_orthonormal():
             assert np.allclose(dec.right_basis.conj().T @ dec.right_basis, np.eye(k), atol=1e-10)
 
 
+def test_schmidt_left_basis_vectors_lead_with_a_real_positive_amplitude():
+    # the phase rule eig_hermitian applies to its eigenvectors; zeroed
+    # leading amplitudes move the pivot below the first entry
+    rng = np.random.default_rng(63)
+    for da, db in ((2, 2), (2, 4), (4, 2)):
+        for trial in range(30):
+            psi = haar_random_pure(da * db, rng).reshape(da, db)
+            psi[: trial % da] = 0.0
+            left = schmidt(psi.reshape(-1) / np.linalg.norm(psi), (da, db)).left_basis
+            for col in left.T:
+                pivot = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+                assert pivot.real > 0 and abs(pivot.imag) <= 1e-15 * pivot.real
+
+
 def test_schmidt_coefficients_match_reduced_eigenvalues():
     rng = np.random.default_rng(62)
     psi = haar_random_pure(4, rng)

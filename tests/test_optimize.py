@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qteleport.cli import main
 from qteleport.channels import angle_channel, resource_channel, teleported_output, apply_protocol
 from qteleport.errors import DimensionError
 from qteleport.optimize import (
@@ -22,7 +23,6 @@ from qteleport.optimize import (
     pair_objective,
     stratified_starts,
     sweep_channel_angle,
-    sweep_to_csv,
 )
 from qteleport.states import (
     haar_random_pure,
@@ -180,14 +180,14 @@ def test_batched_objective_equals_scalar_call_bit_for_bit():
     rng = np.random.default_rng(89)
     channels = [angle_channel(t) for t in (np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)]
     channels.append(resource_channel(random_density_matrix(4, rng)))
-    batched = _PairObjective(np.array(channels), KET0, PLUS)
-    scalar = [_PairObjective(channel, KET0, PLUS) for channel in channels]
+    batched = _PairObjective(channels, KET0, PLUS)
+    scalar = [_PairObjective([channel], KET0, PLUS) for channel in channels]
     points = rng.uniform(-np.pi, np.pi, (200, N_PARAMS))
     points[0] = bbcjpw_equivalent_params()
     tags = rng.integers(0, len(channels), len(points))
     values = batched.evaluate(points, tags)
     for point, tag, value in zip(points, tags, values):
-        assert value == scalar[tag](point)
+        assert value == scalar[tag].evaluate(point[None], [0])[0]
         assert batched.evaluate(point[None], [tag])[0] == value
 
 
@@ -394,24 +394,38 @@ def test_sweep_entropy_matches_resource():
     assert abs(rows[0].channel_entropy - want) < 1e-10
 
 
-def test_sweep_csv_format():
-    rows = sweep_channel_angle([np.pi / 4], KET0, PLUS, starts=1, seed=0, max_evals=500)
-    text = sweep_to_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "theta,channel_entropy,best_min_fidelity,starts,evaluations"
+def test_sweep_csv_format(capsys):
+    # the CLI renders sweep rows; each CSV field reads back as the row's value
+    rows = sweep_channel_angle([np.pi / 4], KET0, PLUS, starts=1, seed=0)
+    plus = repr(float(PLUS[0].real))  # the same bits as PLUS, not the CLI default
+    assert main(["sweep", "--thetas", "pi/4", "--starts", "1", "--seed", "0",
+                 "--chi1", "1,0", "--chi2", f"{plus},{plus}", "--output-format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "theta,channel_entropy,best_min_fidelity,starts,evaluations,is_maximal"
     fields = lines[1].split(",")
-    assert len(fields) == 5
+    assert len(fields) == 6
     assert float(fields[0]) == rows[0].theta
-    assert int(fields[3]) == 1
+    assert float(fields[1]) == rows[0].channel_entropy
+    assert float(fields[2]) == rows[0].best_min_fidelity
+    assert int(fields[3]) == rows[0].starts == 1
+    assert int(fields[4]) == rows[0].evaluations
 
 
 def test_sweep_reference_script_certifies_the_bell_start():
-    # imports the script and scores one vector through its general path;
-    # the reference search itself is not run
+    # imports the script, scores the Bell start through its general path and
+    # checks its objective against pair_objective; no reference search runs
     pytest.importorskip("scipy")
     path = Path(__file__).resolve().parents[1] / "scripts" / "compute_sweep_reference.py"
     spec = importlib.util.spec_from_file_location("compute_sweep_reference", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    value = script.general_path_min_fidelity(bbcjpw_equivalent_params(), angle_channel(np.pi / 4))
+    bell = bbcjpw_equivalent_params()
+    value = script.general_path_min_fidelity(bell, BELL)
     assert value >= 1 - 1e-12
+    assert script.scalar_objective(BELL)(bell) == pair_objective(bell, BELL, KET0, PLUS) == 1.0
+    rng = np.random.default_rng(97)
+    for theta in (np.pi / 16, np.pi / 8, 3 * np.pi / 16):
+        channel = angle_channel(theta)
+        objective = script.scalar_objective(channel)
+        for vec in rng.uniform(-np.pi, np.pi, (3, N_PARAMS)):
+            assert objective(vec) == pair_objective(vec, channel, KET0, PLUS)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from qteleport.errors import CommutingInputError, DimensionError, NotPositiveError
+from qteleport.errors import (
+    CommutingInputError,
+    DegenerateChordError,
+    DimensionError,
+    NotPositiveError,
+)
 from qteleport.linalg import frobenius
 from qteleport.states import (
     SIGMA_X,
@@ -176,6 +181,17 @@ def test_extreme_decomposition_rejects_commuting():
     for rho2 in (rho, near):
         with pytest.raises(CommutingInputError):
             extreme_decomposition(rho, rho2)
+
+
+def test_extreme_decomposition_rejects_a_degenerate_chord():
+    # Two pure states 2.9e-8 apart pass the commutator gate (norm 2.05e-8),
+    # but rounding merges the two sphere points of their chord, which used to
+    # give NaN weights.
+    rho1 = density_from_bloch([0.8103474193131788, -0.17710262590261314, 0.5585442864365102])
+    rho2 = density_from_bloch([0.81034740613072, -0.1771026139498519, 0.5585443093518577])
+    assert commutator_norm(rho1, rho2) > 1e-8
+    with pytest.raises(DegenerateChordError, match="sphere points coincide"):
+        extreme_decomposition(rho1, rho2)
 
 
 # ---------------------------------------------------------------------------
