@@ -72,11 +72,15 @@ def schmidt(psi, dims: tuple[int, int]) -> SchmidtDecomposition:
 
 
 def entropy_of_entanglement(psi, dims: tuple[int, int]) -> float:
-    """Shannon entropy (bits) of the squared Schmidt coefficients."""
+    """Shannon entropy (bits) of the squared Schmidt coefficients.
+
+    Clamped at 0.0: a coefficient rounded just above 1 would otherwise make
+    a product state's entropy slightly negative, or -0.0.
+    """
     coeffs = schmidt(psi, dims).coefficients
     probs = coeffs**2
     probs = probs[probs > 1e-15]
-    return float(-np.sum(probs * np.log2(probs)))
+    return max(0.0, float(-np.sum(probs * np.log2(probs))))
 
 
 def concurrence(rho) -> float:

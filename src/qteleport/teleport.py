@@ -230,14 +230,27 @@ def average_fidelity(p: LocalKrausProtocol, channel_rho, samples: int, seed) -> 
 
     Sample k draws its state from the k-th spawn of the seed sequence, so
     the result does not depend on evaluation order.
+
+    The Kraus map and the partial trace are linear in the input, so the map
+    is fixed by the four outputs L_ab of the basis operators |a><b|: the
+    input chi teleports to exactly sum_ab chi_a conj(chi_b) L_ab, and its
+    fidelity is the sandwich of that matrix between conj(chi) and chi.
+    Running each sample through the 16x16 state would sum the same
+    products in another order, so the two agree up to rounding (about
+    1e-16), while the Kraus operators run four times per call instead of
+    once per sample.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rho_ch = check_density_matrix(channel_rho, dim=8)
     require_teleport_protocol(p)
-    total = 0.0
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        chi = haar_random_pure(2, child)
-        reduced = teleported_output(apply_kraus(p, kron(pure_density(chi), rho_ch)))
-        total += float(np.real(np.vdot(chi, reduced @ chi)))
-    return total / samples
+    images = np.array([
+        [teleported_output(apply_kraus(p, kron(np.outer(_ID2[a], _ID2[b]), rho_ch)))
+         for b in range(2)]
+        for a in range(2)
+    ])
+    chis = np.array([haar_random_pure(2, child)
+                     for child in np.random.SeedSequence(seed).spawn(samples)])
+    bras = chis.conj()
+    scores = np.einsum("sa,sb,abcd,sc,sd->s", chis, bras, images, bras, chis)
+    return float(np.mean(scores.real))

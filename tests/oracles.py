@@ -138,6 +138,51 @@ def haar_average_fidelity(theta: float) -> float:
     return (2.0 + np.sin(2.0 * theta)) / 3.0
 
 
+def _particle2_output(kraus, joint: np.ndarray) -> np.ndarray:
+    """Apply the joint Kraus operators to a (1, A, B, 2) operator and trace
+    out (1, A, B) by reshaping to eight qubit indices."""
+    evolved = sum(k @ joint @ k.conj().T for k in kraus)
+    return np.einsum("ijkaijkb->ab", evolved.reshape([2] * 8))
+
+
+def haar_sample_fidelities(protocol, channel: np.ndarray, samples: int, seed) -> np.ndarray:
+    """Per-sample fidelities of the Monte Carlo average, one full 16x16 run each.
+
+    Sample k is drawn from the k-th spawn of SeedSequence(seed) as a
+    normalized complex Gaussian 2-vector (real parts first). Its global
+    phase does not change the fidelity, so no phase convention is needed.
+    """
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        chi = v / np.linalg.norm(v)
+        reduced = _particle2_output(protocol.kraus, np.kron(np.outer(chi, chi.conj()), channel))
+        out.append(float(np.real(chi.conj() @ reduced @ chi)))
+    return np.array(out)
+
+
+def monte_carlo_average_fidelity_reference(protocol, channel: np.ndarray, samples: int,
+                                           seed) -> float:
+    """The per-sample loop: mean of `haar_sample_fidelities`."""
+    return float(np.mean(haar_sample_fidelities(protocol, channel, samples, seed)))
+
+
+def exact_average_fidelity(protocol, channel: np.ndarray) -> float:
+    """Haar-average fidelity (2 F_e + 1) / 3 of the input-to-output qubit map.
+
+    F_e = 1/4 sum_ij <i| L(|i><j|) |j> is the entanglement fidelity, from
+    four Kraus applications (Horodecki et al., PRA 60, 1888 (1999)).
+    """
+    basis = np.eye(2, dtype=complex)
+    f_e = sum(
+        _particle2_output(protocol.kraus, np.kron(np.outer(basis[i], basis[j]), channel))[i, j]
+        for i in range(2)
+        for j in range(2)
+    ) / 4.0
+    return float((2.0 * f_e.real + 1.0) / 3.0)
+
+
 def random_bloch_in_ball(rng: np.random.Generator, max_radius: float = 1.0) -> np.ndarray:
     while True:
         r = rng.uniform(-1.0, 1.0, 3)

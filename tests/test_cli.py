@@ -113,6 +113,18 @@ def test_entangle_angle_report(capsys):
     assert json.loads(out)["is_maximal"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["entangle", "--state", "0.5:0,0.5:0,0.5:0,0.5:0"], ["entangle", "--angle", "0"]],
+    ids=["plus-plus", "angle-0"],
+)
+def test_entangle_product_state_entropy_is_plain_zero(capsys, argv):
+    # Schmidt coefficients rounded to 1 + eps must not print -6.4e-16 or -0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert '"entropy": 0,' in out
+
+
 def test_dilate_bbcjpw(capsys):
     code, out, _ = run_cli(capsys, "dilate", "--protocol", "bbcjpw", "--probes", "3")
     assert code == 0

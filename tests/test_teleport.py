@@ -7,6 +7,7 @@ from qteleport.channels import (
     angle_channel,
     apply_protocol,
     protocol_to_json,
+    random_local_protocol,
     resource_channel,
     teleported_output,
 )
@@ -17,6 +18,7 @@ from qteleport.states import (
     density_from_bloch,
     haar_random_pure,
     pure_density,
+    random_density_matrix,
     random_unitary,
     state_fidelity,
 )
@@ -35,7 +37,13 @@ from qteleport.teleport import (
     superposition_state,
 )
 
-from oracles import bloch_of, haar_average_fidelity
+from oracles import (
+    bloch_of,
+    exact_average_fidelity,
+    haar_average_fidelity,
+    haar_sample_fidelities,
+    monte_carlo_average_fidelity_reference,
+)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -305,6 +313,54 @@ def test_average_fidelity_matches_closed_form_across_angles():
 
 
 def test_average_fidelity_deterministic():
-    a = average_fidelity(bbcjpw_protocol(), BELL, samples=50, seed=11)
-    b = average_fidelity(bbcjpw_protocol(), BELL, samples=50, seed=11)
+    # a non-maximal channel, so every draw scores differently
+    p, channel = bbcjpw_protocol(), angle_channel(np.pi / 8)
+    a = average_fidelity(p, channel, samples=50, seed=11)
+    b = average_fidelity(p, channel, samples=50, seed=11)
     assert a == b
+    assert a != average_fidelity(p, channel, samples=50, seed=12)
+
+
+def test_average_fidelity_is_the_mean_of_per_spawn_values():
+    p, channel = bbcjpw_protocol(), angle_channel(np.pi / 8)
+    values = haar_sample_fidelities(p, channel, 50, seed=11)
+    assert np.ptp(values) > 0.05
+    # sample k depends on the k-th spawn only: every prefix is its own mean
+    for n in (1, 7, 50):
+        assert abs(average_fidelity(p, channel, samples=n, seed=11) - values[:n].mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 5, 0.3])
+def test_average_fidelity_matches_per_sample_reference_bbcjpw(theta):
+    p, channel = bbcjpw_protocol(), angle_channel(theta)
+    for seed in range(3):
+        got = average_fidelity(p, channel, samples=64, seed=seed)
+        want = monte_carlo_average_fidelity_reference(p, channel, 64, seed)
+        assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 4])
+def test_average_fidelity_matches_per_sample_reference_random_protocols(n_pairs):
+    rng = np.random.default_rng(1100 + n_pairs)
+    for seed in range(5):
+        p = random_local_protocol(rng, alice_dim=4, bob_dim=4, n_pairs=n_pairs)
+        channel = random_density_matrix(8, rng)
+        got = average_fidelity(p, channel, samples=64, seed=seed)
+        want = monte_carlo_average_fidelity_reference(p, channel, 64, seed)
+        assert abs(got - want) <= 1e-12
+
+
+def test_exact_average_fidelity_oracle_matches_closed_form():
+    p = bbcjpw_protocol()
+    for theta in np.linspace(0.0, np.pi / 2, 13):
+        assert abs(exact_average_fidelity(p, angle_channel(theta))
+                   - haar_average_fidelity(theta)) <= 1e-12
+
+
+def test_average_fidelity_near_exact_value_for_random_protocols():
+    rng = np.random.default_rng(1111)
+    for seed in range(4):
+        p = random_local_protocol(rng, alice_dim=4, bob_dim=4, n_pairs=1 + seed)
+        channel = random_density_matrix(8, rng)
+        avg = average_fidelity(p, channel, samples=10_000, seed=seed)
+        assert abs(avg - exact_average_fidelity(p, channel)) < 0.01
