@@ -112,11 +112,16 @@ def apply_kraus(p: LocalKrausProtocol, rho) -> np.ndarray:
     """Kraus action sum_i K_i rho K_i^dagger with K_i = A_i (x) B_i.
 
     Unchecked: callers validate ``rho`` and the protocol first.
+
+    The terms come from one stacked product and are summed left to right
+    from +0.0, so every bit matches the per-operator loop
+    ``out = zeros; out += k @ rho @ k^dagger``.
     """
     rho = np.asarray(rho, dtype=np.complex128)
-    out = np.zeros_like(rho)
-    for k in p.kraus:
-        out += k @ rho @ dagger(k)
+    terms = p.kraus @ rho @ p.kraus.conj().transpose(0, 2, 1)
+    out = terms[0] + 0.0  # 0.0 + -0.0 is +0.0, as in the loop's zero start
+    for term in terms[1:]:
+        out += term
     return out
 
 

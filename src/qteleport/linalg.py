@@ -6,6 +6,8 @@ everything else: Kronecker products, adjoints, partial traces, Hermitian
 eigendecompositions and PSD square roots.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NonHermitianError, NotPositiveError
@@ -22,14 +24,25 @@ def as_operator(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, left factor on the slower-varying index."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product of two matrices, left factor on the slower-varying
+    index, as complex128.
+
+    One broadcast multiply: the same products, in the same layout, as
+    ``np.kron``, without its shape bookkeeping. Raises DimensionError
+    unless both factors are matrices.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"kron needs two matrices, got arrays of ndim {a.ndim} and {b.ndim}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[:, None, :]).reshape(m * p, n * q)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -60,7 +73,7 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     """
     rho = as_operator(rho)
     n_sub = len(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if rho.shape[0] != rho.shape[1]:
         raise DimensionError(f"partial_trace needs a square matrix, got {rho.shape}")
     if rho.shape[0] != total:
@@ -82,9 +95,9 @@ def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
             continue
         pos = sub - traced
         n_left = n_sub - traced
-        t = np.trace(t, axis1=pos, axis2=pos + n_left)
+        t = t.trace(axis1=pos, axis2=pos + n_left)
         traced += 1
-    d_keep = int(np.prod([dims[k] for k in keep]))
+    d_keep = math.prod(dims[k] for k in keep)
     return np.ascontiguousarray(t.reshape(d_keep, d_keep))
 
 

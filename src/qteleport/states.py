@@ -76,13 +76,14 @@ def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
     if dim is not None and m.shape[0] != dim:
         raise DimensionError(f"expected dim {dim}, got {m.shape[0]}")
     _check_entries(m, "matrix")
-    if frobenius(m - dagger(m)) > STATE_ATOL:
+    adjoint = m.conj().T
+    if frobenius(m - adjoint) > STATE_ATOL:
         raise ValueError("density matrix is not Hermitian within 1e-10")
-    tr = float(np.trace(m).real)
+    tr = float(m.trace().real)
     if abs(tr - 1.0) > STATE_ATOL:
         raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {STATE_ATOL:.0e}")
     # Hermiticity is settled above, so the eigenvalues alone decide positivity.
-    lowest = np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0]
+    lowest = np.linalg.eigvalsh((m + adjoint) / 2.0)[0]
     if lowest < -PSD_CLAMP_TOL:
         raise NotPositiveError(
             f"eigenvalue {lowest:.3e} below the -{PSD_CLAMP_TOL:.0e} clamp threshold"
@@ -243,9 +244,15 @@ def haar_random_pure(dim: int, seed) -> np.ndarray:
     """
     if dim < 1:
         raise DimensionError(f"dimension must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = _gaussian_draw(dim, seed)
     return fix_phase(v / np.linalg.norm(v))
+
+
+def _gaussian_draw(dim: int, seed) -> np.ndarray:
+    """The Haar draw before normalization: a standard complex Gaussian
+    vector from ``default_rng(seed)``, real parts drawn first."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

@@ -32,9 +32,9 @@ from .states import (
     check_density_matrix,
     check_nonorthogonal_pair,
     check_pure_state,
+    _gaussian_draw,
     extreme_decomposition,
     ExtremeDecomposition,
-    haar_random_pure,
     pure_density,
     qubit_fidelity,
     SIGMA_X,
@@ -228,8 +228,13 @@ def extreme_reduction_check(
 def average_fidelity(p: LocalKrausProtocol, channel_rho, samples: int, seed) -> float:
     """Mean fidelity over Haar-random pure inputs, deterministic per seed.
 
-    Sample k draws its state from the k-th spawn of the seed sequence, so
-    the result does not depend on evaluation order.
+    Sample k is drawn as ``haar_random_pure(2, s_k)`` draws, s_k the k-th
+    spawn of the seed sequence, so the result does not depend on
+    evaluation order. The draws are normalized in one array operation and
+    their phases are not fixed: the score of chi is a sandwich in which chi
+    and conj(chi) each appear twice, so a global phase e^{ia} contributes
+    e^{ia} e^{-ia} e^{ia} e^{-ia} = 1 and moves the score by rounding only
+    (about 1e-16).
 
     The Kraus map and the partial trace are linear in the input, so the map
     is fixed by the four outputs L_ab of the basis operators |a><b|: the
@@ -249,8 +254,9 @@ def average_fidelity(p: LocalKrausProtocol, channel_rho, samples: int, seed) -> 
          for b in range(2)]
         for a in range(2)
     ])
-    chis = np.array([haar_random_pure(2, child)
-                     for child in np.random.SeedSequence(seed).spawn(samples)])
+    draws = np.array([_gaussian_draw(2, child)
+                      for child in np.random.SeedSequence(seed).spawn(samples)])
+    chis = draws / np.linalg.norm(draws, axis=1, keepdims=True)
     bras = chis.conj()
     scores = np.einsum("sa,sb,abcd,sc,sd->s", chis, bras, images, bras, chis)
     return float(np.mean(scores.real))

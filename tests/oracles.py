@@ -49,6 +49,30 @@ def naive_partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def nested_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Partial trace as a chain of np.trace calls, one per traced subsystem
+    from the left, on the rank-2n tensor view of ``rho``."""
+    dims = list(dims)
+    t = np.asarray(rho).reshape(dims + dims)
+    pos, n_left = 0, len(dims)  # axis of subsystem `sub`; subsystems left
+    for sub in range(len(dims)):
+        if sub in keep:
+            pos += 1
+        else:
+            t = np.trace(t, axis1=pos, axis2=pos + n_left)
+            n_left -= 1
+    d_keep = int(np.prod([dims[k] for k in sorted(keep)]))
+    return t.reshape(d_keep, d_keep)
+
+
+def kraus_loop(kraus, rho: np.ndarray) -> np.ndarray:
+    """sum_i K_i rho K_i^dagger, one operator at a time, from a zero matrix."""
+    out = np.zeros(rho.shape, dtype=complex)
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
 def qubit_eigvals_charpoly(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 2x2 Hermitian matrix from its characteristic polynomial."""
     tr = float(np.trace(rho).real)
@@ -145,6 +169,14 @@ def _particle2_output(kraus, joint: np.ndarray) -> np.ndarray:
     return np.einsum("ijkaijkb->ab", evolved.reshape([2] * 8))
 
 
+def haar_draw(seed) -> np.ndarray:
+    """Normalized complex Gaussian 2-vector from default_rng(seed), real
+    parts first; its global phase is left as drawn."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
 def haar_sample_fidelities(protocol, channel: np.ndarray, samples: int, seed) -> np.ndarray:
     """Per-sample fidelities of the Monte Carlo average, one full 16x16 run each.
 
@@ -154,9 +186,7 @@ def haar_sample_fidelities(protocol, channel: np.ndarray, samples: int, seed) ->
     """
     out = []
     for child in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        chi = v / np.linalg.norm(v)
+        chi = haar_draw(child)
         reduced = _particle2_output(protocol.kraus, np.kron(np.outer(chi, chi.conj()), channel))
         out.append(float(np.real(chi.conj() @ reduced @ chi)))
     return np.array(out)

@@ -26,7 +26,9 @@ from qteleport.states import (
     pure_density,
     random_density_matrix,
 )
-from qteleport.teleport import bbcjpw_protocol
+from qteleport.teleport import bbcjpw_protocol, classical_commuting_protocol, product_channel
+
+from oracles import kraus_loop
 
 I2 = np.eye(2, dtype=complex)
 
@@ -90,6 +92,25 @@ def test_apply_bbcjpw_recovers_input_on_particle_2():
     joint = apply_protocol(pure_density(chi), angle_channel(np.pi / 4), bbcjpw_protocol())
     out = teleported_output(joint)
     assert frobenius(out - pure_density(chi)) < 1e-10
+
+
+def test_apply_kraus_equals_per_operator_loop_bit_for_bit():
+    rng = np.random.default_rng(36)
+    basis = (np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
+    cases = [(bbcjpw_protocol(), angle_channel(np.pi / 8)),
+             (classical_commuting_protocol(basis), product_channel())]
+    for dims in ((2, 2), (2, 4), (4, 4)):
+        for n_pairs in range(1, 6):
+            p = random_local_protocol(rng, *dims, n_pairs=n_pairs)
+            cases.append((p, None))
+    for p, channel in cases:
+        d = p.alice_dim * p.bob_dim
+        inputs = [random_density_matrix(d, rng) for _ in range(3)]
+        if channel is not None:  # the protocol's own (1, A, B, 2) states as well
+            inputs += [kron(random_density_matrix(2, rng), channel),
+                       kron(pure_density(haar_random_pure(2, rng)), channel)]
+        for rho in inputs:
+            assert apply_kraus(p, rho).tobytes() == kraus_loop(p.kraus, rho).tobytes()
 
 
 def test_apply_rejects_incomplete_protocol():

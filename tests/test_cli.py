@@ -207,6 +207,33 @@ def test_sweep_csv_format(capsys):
     assert [f[5] for f in fields] == ["false", "true"]
 
 
+# sha256 of the stdout of kernel-heavy subcommands, run at one BLAS thread:
+# `verify`'s dilation residuals change in their last digits with the count
+_STDOUT_SHA256 = {
+    "teleport-default": (["teleport", "--input", "0,0,0.5"],
+                         "81f9a58be990ba1df7f9d53cfb2e6fb1ef8460fce665196eab8762d90e888e10"),
+    "teleport-mixed-pi-8": (["teleport", "--input", "0.3,-0.2,0.4", "--channel-angle", "pi/8"],
+                            "a5cd9a93668c95a4af63efadc51fafa5ede690378dfcba5e556fac2d9b6eb107"),
+    "dilate-bbcjpw": (["dilate", "--protocol", "bbcjpw", "--seed", "0"],
+                      "6ecc76b0a2c45c7a02fbd101c9518e673f95f68ec5af452026409e332015b5c5"),
+    "verify-all": (["verify", "--suite", "all", "--seed", "0"],
+                   "831f9775fd4e3fdb979a59db2fea47c9e180b3b1971f8a97ab2ec9781b721513"),
+}
+
+
+@pytest.mark.parametrize("name", list(_STDOUT_SHA256))
+def test_stdout_is_pinned(name):
+    argv, digest = _STDOUT_SHA256[name]
+    src = str(Path(qteleport.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "QTELEPORT_SEED"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "qteleport.cli", *argv], env=env,
+                          capture_output=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
 def test_sweep_byte_identical_reruns(capsys, tmp_path):
     args = ["sweep", "--thetas", "pi/8", "--starts", "2", "--seed", "0",
             "--output-format", "csv"]

@@ -3,6 +3,7 @@ import pytest
 
 from qteleport.errors import DimensionError, NonHermitianError, NotPositiveError
 from qteleport.linalg import (
+    as_operator,
     dagger,
     eig_hermitian,
     fix_phase,
@@ -13,7 +14,7 @@ from qteleport.linalg import (
 )
 from qteleport.states import SIGMA_X, SIGMA_Y, SIGMA_Z, density_from_bloch
 
-from oracles import naive_kron, naive_partial_trace, qubit_eigvals_charpoly
+from oracles import naive_kron, naive_partial_trace, nested_trace, qubit_eigvals_charpoly
 
 I2 = np.eye(2, dtype=complex)
 
@@ -59,6 +60,38 @@ def test_kron_trace_multiplicative():
         a = random_matrix(rng, dim, dim)
         b = random_matrix(rng, dim, dim)
         assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+
+
+def _entries(rng, kind, shape):
+    """Random entries of one dtype; negative ones make np.kron's complex
+    products carry -0.0 parts."""
+    if kind == "int":
+        return rng.integers(-3, 4, size=shape)
+    if kind == "float":
+        return rng.normal(size=shape)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("kind", ["complex", "float", "int"])
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((1, 3), (1, 2)), ((3, 1), (2, 1)), ((1, 4), (4, 1)), ((3, 2), (2, 4)), ((2, 2), (8, 8))],
+)
+def test_kron_equals_np_kron_bit_for_bit(kind, shape_a, shape_b):
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        a, b = _entries(rng, kind, shape_a), _entries(rng, kind, shape_b)
+        got = kron(a, b)
+        want = np.kron(a.astype(complex), b.astype(complex))
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((2,), (2, 2)), ((2, 2), (3,)), ((2,), (2,)),
+                                              ((2, 2, 2), (2, 2)), ((), (2, 2))])
+def test_kron_rejects_non_matrices(shape_a, shape_b):
+    with pytest.raises(DimensionError, match="kron needs two matrices"):
+        kron(np.ones(shape_a), np.ones(shape_b))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +167,34 @@ def test_partial_trace_sequential_equals_joint():
     alt2 = partial_trace(alt1, [2, 2, 2], keep={0, 2})
     alt3 = partial_trace(alt2, [2, 2], keep={0})
     assert np.allclose(alt3, joint, atol=1e-12)
+
+
+def _keep_sets(n):
+    return [{k for k in range(n) if mask >> k & 1} for mask in range(1, 1 << n)]
+
+
+@pytest.mark.parametrize("dims", [[2, 2, 2, 2], [2, 4], [4, 2], [2, 8]])
+def test_partial_trace_equals_nested_np_trace_bit_for_bit(dims):
+    # the elimination order sets the rounding; [2, 2, 2, 2] shows a reordered one
+    rng = np.random.default_rng(19)
+    d = int(np.prod(dims))
+    for _ in range(10):
+        rho = random_matrix(rng, d, d)
+        for keep in _keep_sets(len(dims)):
+            got = partial_trace(rho, dims, keep)
+            assert got.tobytes() == nested_trace(rho, dims, keep).tobytes(), keep
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan),
+                                 complex(1, np.inf), complex(np.nan, 1)],
+                         ids=["nan", "inf", "-inf", "1+nanj", "1+infj", "nan+1j"])
+def test_non_finite_entries_are_rejected(bad):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_operator(rho)
+    with pytest.raises(ValueError, match="non-finite"):
+        partial_trace(rho, [2, 2], keep={0})
 
 
 def test_partial_trace_rejects_bad_dims():

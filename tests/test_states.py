@@ -24,7 +24,7 @@ from qteleport.states import (
     state_fidelity,
 )
 
-from oracles import bloch_of, chord_sphere_points, random_bloch_in_ball
+from oracles import bloch_of, chord_sphere_points, haar_draw, random_bloch_in_ball
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -207,6 +207,13 @@ def test_haar_deterministic_per_seed():
     b = haar_random_pure(4, 123)
     assert np.array_equal(a, b)
     assert not np.allclose(a, haar_random_pure(4, 124))
+
+
+def test_haar_draws_are_the_per_spawn_oracle_draws_phase_fixed():
+    # the oracle behind the average-fidelity tests draws its states the same way
+    for child in np.random.SeedSequence(79).spawn(200):
+        chi, ref = haar_random_pure(2, child), haar_draw(child)
+        assert np.allclose(chi, ref * (abs(ref[0]) / ref[0]), rtol=0.0, atol=1e-15)
 
 
 def test_haar_mean_bloch_vanishes():
