@@ -29,6 +29,9 @@ STATE_ATOL = 1e-10
 COMMUTING_TOL = 1e-8
 ORTHOGONAL_TOL = 1e-8
 _DET_BAND = 2.0 * np.finfo(float).eps
+# How far a 2x2 must clear every threshold of `check_density_matrix` to be
+# accepted in closed form; far above the ~1e-15 the closed forms can be off.
+_CERTIFY_MARGIN = 1e-12
 
 
 def _check_entries(a: np.ndarray, what: str) -> None:
@@ -68,13 +71,43 @@ def check_nonorthogonal_pair(chi1, chi2) -> tuple[np.ndarray, np.ndarray]:
     return v1, v2
 
 
+def _clearly_valid_qubit(m: np.ndarray) -> bool:
+    """True when the 2x2 ``m`` passes each check of `check_density_matrix`
+    by at least _CERTIFY_MARGIN, judged from closed forms on its entries.
+
+    Every entry must have modulus at most 2 - margin, which bounds each real
+    and imaginary part as `_check_entries` does; NaN and inf fail it. With
+    entries that small, the Hermiticity defect
+    sqrt(4 Im(a)^2 + 4 Im(d)^2 + 2 |b - conj(c)|^2), the trace and the lowest
+    eigenvalue of the Hermitian part stay within about 1e-15 of the values
+    the general checks compute, so True is their verdict too. False decides
+    nothing: the general checks run and alone raise.
+    """
+    (a, b), (c, d) = m.tolist()
+    bound = 2.0 - _CERTIFY_MARGIN
+    if not (abs(a) <= bound and abs(b) <= bound and abs(c) <= bound and abs(d) <= bound):
+        return False
+    skew, off = b - c.conjugate(), b + c.conjugate()
+    defect = math.sqrt(4.0 * (a.imag * a.imag + d.imag * d.imag) + 2.0 * abs(skew) ** 2)
+    tr = a.real + d.real
+    lowest = tr / 2.0 - math.hypot((a.real - d.real) / 2.0, abs(off) / 2.0)
+    tol = STATE_ATOL - _CERTIFY_MARGIN
+    return defect <= tol and abs(tr - 1.0) <= tol and lowest >= _CERTIFY_MARGIN - PSD_CLAMP_TOL
+
+
 def check_density_matrix(rho, dim: int | None = None) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return complex128."""
+    """Validate Hermiticity, unit trace and positivity; return complex128.
+
+    A 2x2 that clearly passes is accepted in closed form
+    (`_clearly_valid_qubit`); every other input takes the general checks.
+    """
     m = np.asarray(rho, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise DimensionError(f"expected dim {dim}, got {m.shape[0]}")
+    if m.shape[0] == 2 and _clearly_valid_qubit(m):
+        return m
     _check_entries(m, "matrix")
     adjoint = m.conj().T
     if frobenius(m - adjoint) > STATE_ATOL:
@@ -99,7 +132,11 @@ def pure_density(psi) -> np.ndarray:
 
 def bloch_from_density(rho) -> np.ndarray:
     """Bloch vector r_k = Tr(rho sigma_k) of a qubit density matrix."""
-    m = check_density_matrix(rho, dim=2)
+    return _bloch(check_density_matrix(rho, dim=2))
+
+
+def _bloch(m: np.ndarray) -> np.ndarray:
+    """bloch_from_density for an already-checked 2x2 complex128 array."""
     return np.array([np.trace(m @ s).real for s in PAULIS])
 
 
@@ -206,8 +243,8 @@ def extreme_decomposition(rho1, rho2) -> ExtremeDecomposition:
             f"{COMMUTING_TOL:.0e}); the two-state decomposition is not unique",
             commutator_norm=cnorm,
         )
-    r1 = bloch_from_density(m1)
-    r2 = bloch_from_density(m2)
+    r1 = _bloch(m1)
+    r2 = _bloch(m2)
     d = r2 - r1
 
     # |r1 + t d|^2 = 1, guaranteed to have two real roots since r1 is inside

@@ -218,3 +218,42 @@ def random_bloch_in_ball(rng: np.random.Generator, max_radius: float = 1.0) -> n
         r = rng.uniform(-1.0, 1.0, 3)
         if np.linalg.norm(r) < max_radius:
             return r
+
+
+def general_density_check(rho, dim=None) -> np.ndarray:
+    """`states.check_density_matrix` as it was before 2x2 inputs got a
+    closed-form certificate: the general checks alone, kept verbatim (with
+    the helpers it calls) so the package's verdicts can be compared with it."""
+    from qteleport.errors import DimensionError, NotPositiveError
+
+    STATE_ATOL, PSD_CLAMP_TOL = 1e-10, 1e-10
+
+    def frobenius(a):
+        return float(np.linalg.norm(np.asarray(a), "fro"))
+
+    def _check_entries(a, what):
+        peak = np.abs(np.ascontiguousarray(a).view(float)).max(initial=0.0)
+        if not peak <= 2.0:  # NaN fails this comparison too
+            if not np.isfinite(peak):
+                raise ValueError(f"{what} has non-finite entries")
+            raise ValueError(f"{what} has an entry of magnitude above 2")
+
+    m = np.asarray(rho, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"density matrix must be square, got shape {m.shape}")
+    if dim is not None and m.shape[0] != dim:
+        raise DimensionError(f"expected dim {dim}, got {m.shape[0]}")
+    _check_entries(m, "matrix")
+    adjoint = m.conj().T
+    if frobenius(m - adjoint) > STATE_ATOL:
+        raise ValueError("density matrix is not Hermitian within 1e-10")
+    tr = float(m.trace().real)
+    if abs(tr - 1.0) > STATE_ATOL:
+        raise ValueError(f"density matrix trace {tr:.12g} is not 1 within {STATE_ATOL:.0e}")
+    # Hermiticity is settled above, so the eigenvalues alone decide positivity.
+    lowest = np.linalg.eigvalsh((m + adjoint) / 2.0)[0]
+    if lowest < -PSD_CLAMP_TOL:
+        raise NotPositiveError(
+            f"eigenvalue {lowest:.3e} below the -{PSD_CLAMP_TOL:.0e} clamp threshold"
+        )
+    return m

@@ -218,6 +218,11 @@ _STDOUT_SHA256 = {
                       "6ecc76b0a2c45c7a02fbd101c9518e673f95f68ec5af452026409e332015b5c5"),
     "verify-all": (["verify", "--suite", "all", "--seed", "0"],
                    "831f9775fd4e3fdb979a59db2fea47c9e180b3b1971f8a97ab2ec9781b721513"),
+    # lowest eigenvalue -1e-10 + 5e-13: inside the clamp threshold, but too
+    # close to it for the closed-form qubit check, so the general check accepts
+    "teleport-matrix-near-clamp": (
+        ["teleport", "--input", "1.0000000000995:0,0:0;0:0,-0.0000000000995:0"],
+        "198f3e574ba7860360475bd385f2c66d547fbdceabe2d7eeec589ec5eda573e0"),
 }
 
 
@@ -291,6 +296,25 @@ def test_bad_state_grammar_exits_2(capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "entangle", "--state", "@/no/such/file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "matrix, line",
+    [
+        ("0.5:0,0.1:0;0:0,0.5:0", "error: density matrix is not Hermitian within 1e-10"),
+        ("1.000000001:0,0:0;0:0,-0.000000001:0",
+         "error: eigenvalue -1.000e-09 below the -1e-10 clamp threshold"),
+        ("0.6:0,0:0;0:0,0.6:0", "error: density matrix trace 1.2 is not 1 within 1e-10"),
+        ("2.5:0,0:0;0:0,-1.5:0", "error: matrix has an entry of magnitude above 2"),
+        ("nan:0,0:0;0:0,0.5:0", "error: matrix has non-finite entries"),
+        ("0.5:0,0:0;0:0,0.5:nan", "error: matrix has non-finite entries"),
+    ],
+    ids=["non-hermitian", "eigenvalue-below-clamp", "trace-not-one", "entry-above-2",
+         "nan-real-part", "nan-imaginary-part"],
+)
+def test_rejected_qubit_matrix_error_line(capsys, matrix, line):
+    code, out, err = run_cli(capsys, "teleport", "--input", matrix)
+    assert (code, out, err) == (2, "", line + "\n")
 
 
 

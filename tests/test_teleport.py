@@ -78,6 +78,23 @@ def test_bbcjpw_teleports_mixed_states_exactly():
     assert np.allclose(out.output, rho, atol=1e-10)
 
 
+@pytest.mark.parametrize("rho", [pure_density(PLUS), density_from_bloch([0.3, -0.2, 0.4])],
+                         ids=["pure", "mixed"])
+def test_run_teleport_checks_qubits_without_eigvalsh(monkeypatch, rho):
+    # the two qubit checks are certified in closed form; only the 8x8
+    # channel check needs an eigensolver
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    run_teleport(rho, angle_channel(np.pi / 8), bbcjpw_protocol(), rho)
+    assert shapes == [(8, 8)]
+
+
 def test_bbcjpw_over_product_channel_decoheres():
     out = run_teleport(pure_density(PLUS), product_channel(), bbcjpw_protocol(),
                        pure_density(PLUS))
