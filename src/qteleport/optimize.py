@@ -17,15 +17,16 @@ The headline use: fix a non-orthogonal state pair, sweep the resource
 angle, and watch the best worst-case fidelity reach 1 only where the
 resource is maximally entangled.
 
-The sweep steps every start of every angle in lockstep. Each start's
-restart ladder is a generator that yields the points its simplex needs
-next; one scheduler gathers the pending points of all unfinished starts
-into a single batched objective call per round, each row tagged with its
-angle, and sends each start its slice of the values. The batched kernel
-scores each row as it would in a batch of one, bit for bit, so every start
-follows the trajectory it would follow alone.
+The sweep steps every start of every angle in lockstep. The simplexes of
+all starts live in one array, each kept in sorted order. Each round takes
+the centroids and reflections of all starts in one batched step, gathers
+the points every unfinished start needs into a single batched objective
+call, each row tagged with its angle, and hands each start its values. The
+batched kernel scores each row as it would in a batch of one, bit for bit,
+so every start follows the trajectory it would follow alone.
 """
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ from .entanglement import entropy_of_entanglement
 from .errors import DimensionError
 from .linalg import eig_hermitian
 from .states import check_density_matrix, check_nonorthogonal_pair
-from .teleport import receiver_factor
 
 N_ALICE_PARAMS = 16
 N_BOB_PARAMS = 12
@@ -49,11 +49,10 @@ _DIAG = np.arange(4)
 
 
 def _hermitian_from_params(a: np.ndarray) -> np.ndarray:
+    """The diagonal and lower triangle of H; ``eigh`` reads nothing else."""
     h = np.zeros(a.shape[:-1] + (4, 4), dtype=np.complex128)
     h[..., _DIAG, _DIAG] = a[..., :4]
-    off = a[..., 4::2] + 1j * a[..., 5::2]
-    h[..., _OFF_I, _OFF_J] = off
-    h[..., _OFF_J, _OFF_I] = off.conj()
+    h[..., _OFF_J, _OFF_I] = (a[..., 4::2] + 1j * a[..., 5::2]).conj()
     return h
 
 
@@ -67,8 +66,23 @@ def decode_alice_unitary(alice_params) -> np.ndarray:
     return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def decode_bob_unitaries(bob_params) -> np.ndarray:
-    """Axis-angle triples (..., 3) -> 2x2 special unitaries (..., 2, 2), smooth at zero."""
+# A receiver factor kron(I, U) @ SWAP, with U = exp(-i w.sigma/2) =
+# [[cos - i cz, -cy - i cx], [cy - i cx, cos + i cz]] in rows 0-1 at columns
+# 0, 2 and in rows 2-3 at columns 1, 3, as its 32 floats (real, imaginary
+# interleaved): each an index into the columns [cos, cx, cy, cz, -cx, -cy,
+# -cz, 0].
+_FACTOR_SLOTS = np.array([
+    0, 6, 7, 7, 5, 4, 7, 7,
+    2, 4, 7, 7, 0, 3, 7, 7,
+    7, 7, 0, 6, 7, 7, 5, 4,
+    7, 7, 2, 4, 7, 7, 0, 3,
+])
+
+
+def _receiver_factors(bob_params) -> np.ndarray:
+    """Axis-angle triples (..., 3) -> receiver factors (..., 4, 4), smooth at
+    zero: the special unitary exp(-i w.sigma/2) on particle 2 after routing
+    B into it, the same bits as ``teleport.receiver_factor`` of that unitary."""
     w = np.asarray(bob_params, dtype=float)
     batch = w.shape[:-1]
     w = w.reshape(-1, 3)
@@ -77,16 +91,19 @@ def decode_bob_unitaries(bob_params) -> np.ndarray:
     # sin(alpha/2)/alpha, continued through alpha = 0
     safe = np.maximum(alpha, 1e-300)
     coeff = np.where(alpha > 1e-12, np.sin(half) / safe, 0.5)
-    out = np.empty((len(w), 2, 2), dtype=np.complex128)
-    cos = np.cos(half)
-    cz = coeff * w[:, 2]
-    cx = coeff * w[:, 0]
-    cy = coeff * w[:, 1]
-    out[:, 0, 0] = cos - 1j * cz
-    out[:, 1, 1] = cos + 1j * cz
-    out[:, 0, 1] = -cy - 1j * cx
-    out[:, 1, 0] = cy - 1j * cx
-    return out.reshape(batch + (2, 2))
+    cols = np.empty((len(w), 8))
+    cols[:, 0] = np.cos(half)
+    np.multiply(coeff[:, None], w, out=cols[:, 1:4])
+    np.negative(cols[:, 1:4], out=cols[:, 4:7])
+    cols[:, 7] = 0.0
+    out = cols.take(_FACTOR_SLOTS, axis=1)
+    out += 0.0  # -0.0 -> 0.0, as receiver_factor does
+    return out.view(np.complex128).reshape(batch + (4, 4))
+
+
+def decode_bob_unitaries(bob_params) -> np.ndarray:
+    """Axis-angle triples (..., 3) -> 2x2 special unitaries (..., 2, 2), smooth at zero."""
+    return _receiver_factors(bob_params)[..., 0:2, 0::2]
 
 
 def _split_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,12 +114,12 @@ def _split_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in the orthogonal basis {E_ii; E_ij + E_ji; i(E_ij - E_ji)}: the four
     diagonal ones, then one pair per i < j in row order. The sender measures
     onto the columns of exp(iH). The last 12 are four axis-angle triples w,
-    one unitary exp(-i w.sigma/2) per measurement outcome, each routed
-    B -> 2 by ``receiver_factor``.
+    one unitary exp(-i w.sigma/2) per measurement outcome, each applied
+    after routing B -> 2.
     """
     u = decode_alice_unitary(params[..., :N_ALICE_PARAMS])
     bob = params[..., N_ALICE_PARAMS:].reshape(params.shape[:-1] + (4, 3))
-    return u, receiver_factor(decode_bob_unitaries(bob))
+    return u, _receiver_factors(bob)
 
 
 def _checked_params(params) -> np.ndarray:
@@ -232,35 +249,54 @@ def nelder_mead(objective, init, max_evals: int = 20000) -> OptResult:
     ``TOL_F``; hitting ``max_evals`` first reports converged=False rather
     than raising.
     """
+    max_evals = _positive_int(max_evals, "max_evals")
+
     def evaluate(points, _owners):
         return np.array([float(objective(x)) for x in points])
 
-    [result] = _lockstep(evaluate, [_simplex_search(init, max_evals, ((0.1, 1.0),))])
+    init = np.asarray(init, dtype=float).reshape(1, -1)
+    [result] = _lockstep(evaluate, init, max_evals, ((0.1, 1.0),))
     return result
 
 
-def _simplex_search(init, max_evals, ladder):
-    """A ladder of Nelder-Mead simplexes within one budget, as a generator.
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int >= 1; a bool or a non-integer is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(value)
 
-    ``ladder`` lists (initial step, budget share) legs; every leg after the
-    first restarts from the best point seen so far, and the ladder stops
-    early when the budget is gone or the objective has hit its ceiling of 1.
-    Yields each (k, n) array of points it needs (an initial simplex,
-    k = n + 1; a reflection, expansion or contraction, k = 1; a shrink,
-    k = n), receives their k objective values, and returns the OptResult of
-    the best leg, with the evaluations of all legs. Ties keep the earlier leg.
 
-    The vertices stay in the order a stable sort of their values gives,
-    NaNs last: a step that replaces only the worst vertex inserts its
-    successor where that sort would put it, and only the initial simplex
-    and a shrink are sorted whole.
+# Requests a start can have pending besides a reflection.
+_INIT, _EXPAND, _INSIDE, _OUTSIDE, _SHRINK = range(5)
+
+
+def _lockstep(evaluate, inits, max_evals, ladder) -> list[OptResult]:
+    """A ladder of Nelder-Mead simplexes from each row of ``inits`` (starts,
+    n), all stepped together; returns one OptResult per start, in order.
+
+    ``ladder`` lists (initial step, budget share) legs within each start's
+    budget of ``max_evals``; every leg after the first restarts from the
+    best point seen so far, and a start stops early when its budget is gone
+    or its objective has hit its ceiling of 1. A start's result is its best
+    leg, with the evaluations of all legs. Ties keep the earlier leg.
+
+    Each round makes one call ``evaluate(points, owners)`` on the points all
+    unfinished starts need next (an initial simplex, n + 1 rows; a
+    reflection, expansion or contraction, one row; a shrink, n rows), where
+    ``owners[r]`` is the start that asked for row r. When ``evaluate`` scores
+    each row on its own, a start's trajectory does not depend on which
+    others share the batch.
+
+    The vertices of start i are ``simplex[i]``, kept in the order a stable
+    sort of their values gives, NaNs last: a step that replaces only the
+    worst vertex inserts its successor where that sort would put it, and
+    only an initial simplex and a shrink are sorted whole.
     """
-    best_params = np.asarray(init, dtype=float).reshape(-1)
-    n = best_params.size
+    n_starts, n = inits.shape
     if n < 1:
         raise ValueError("need at least one parameter")
-    if max_evals < 1:
-        raise ValueError("max_evals must be >= 1")
     # The step direction d = c - w, from the worst vertex w to the centroid
     # c of the others, has ||d|| <= 2 * diameter, so ||d|| >= 4 * TOL_X
     # shows the simplex too wide to converge without measuring it. The
@@ -268,117 +304,134 @@ def _simplex_search(init, max_evals, ladder):
     far_sq = (4.0 * TOL_X) ** 2
     rounding_sq = (4.0 * n * np.finfo(float).eps) ** 2
 
-    remaining = max_evals
-    total = 0
-    best_objective = None
-    for step, share in ladder:
-        if remaining <= 0:
-            break
-        budget = min(remaining, max(1, int(max_evals * share)))
-        # Each leg minimizes the negated objective.
-        simplex = np.tile(best_params, (n + 1, 1))
-        simplex[1:] += np.eye(n) * step
-        simplex, values = _sorted(simplex, -np.asarray((yield simplex), dtype=float))
-        evals = n + 1
+    simplex = np.repeat(inits[:, None], n + 1, axis=1)
+    values = [None] * n_starts  # each simplex's values, negated (each leg minimizes)
+    legs = [0] * n_starts       # the ladder leg each start is on
+    evals = [0] * n_starts      # evaluations the current leg has asked for
+    budgets = [0] * n_starts    # and may ask for
+    totals = [0] * n_starts     # evaluations of the finished legs
+    best = [(inits[i], None, False) for i in range(n_starts)]  # params, objective, converged
+    results = [None] * n_starts
+    asks = []  # (start, request, points, reflected point, reflected value) to evaluate
 
-        converged = False
-        while evals < budget:
-            if values[-1] - values[0] < TOL_F:
-                converged = True
-                break
-            centroid = simplex[:-1].sum(axis=0) / n  # the mean, without its call overhead
-            d = centroid - simplex[-1]
-            if d.dot(d) < far_sq + rounding_sq * centroid.dot(centroid):
-                diff = simplex[1:] - simplex[0]
-                if np.sqrt((diff * diff).sum(axis=1).max()) < TOL_X:
-                    converged = True
-                    break
+    def start_leg(i):
+        step, share = ladder[legs[i]]
+        budgets[i] = min(max_evals - totals[i], max(1, int(max_evals * share)))
+        evals[i] = n + 1
+        simplex[i] = best[i][0]
+        simplex[i, 1:] += np.eye(n) * step
+        asks.append((i, _INIT, simplex[i], None, None))
 
-            reflected = centroid + d
-            fr = -float((yield reflected[None])[0])
-            evals += 1
-            if fr < values[0]:
-                expanded = centroid + 2.0 * d
-                fe = -float((yield expanded[None])[0])
-                evals += 1
-                point, f = (expanded, fe) if fe < fr else (reflected, fr)
-            elif fr < values[-2]:
-                point, f = reflected, fr
+    def end_leg(i, converged):
+        totals[i] += evals[i]
+        leg_best = -values[i][0]  # the sorted order puts the leg's best first, NaNs last
+        if best[i][1] is None or leg_best > best[i][1]:
+            best[i] = (simplex[i, 0].copy(), leg_best, converged)
+        legs[i] += 1
+        if best[i][1] >= 1.0 - 1e-12 or legs[i] == len(ladder) or totals[i] >= max_evals:
+            params, objective, best_converged = best[i]
+            results[i] = OptResult(best_params=params, best_objective=objective,
+                                   evaluations=totals[i], converged=best_converged)
+        else:
+            start_leg(i)
+
+    def insert(i, point, f):
+        # Replace the worst vertex: the stable sort puts the newcomer after
+        # every value it does not undercut, and ahead of the NaNs. f is never
+        # NaN, as every newcomer has won a comparison.
+        vals = values[i]
+        del vals[-1]
+        finite = n
+        while finite and vals[finite - 1] != vals[finite - 1]:
+            finite -= 1
+        at = bisect_right(vals, f, 0, finite)
+        vals.insert(at, f)
+        s = simplex[i]
+        if at < n:
+            s[at + 1:] = s[at:-1]
+        s[at] = point
+
+    for i in range(n_starts):
+        start_leg(i)
+    stepping = []  # starts at the head of their simplex loop
+    while True:
+        reflecting = []
+        for i in stepping:
+            vals = values[i]
+            if evals[i] >= budgets[i]:
+                end_leg(i, False)
+            elif vals[-1] - vals[0] < TOL_F:
+                end_leg(i, True)
             else:
-                if fr < values[-1]:
-                    point = centroid + 0.5 * (reflected - centroid)
-                    f = -float((yield point[None])[0])
-                    accept = f <= fr
+                reflecting.append(i)
+        if reflecting:
+            centroid = simplex[:, :-1].sum(axis=1) / n  # the mean, without its call overhead
+            d = centroid - simplex[:, -1]
+            near = (np.matmul(d[:, None], d[:, :, None]) < far_sq + rounding_sq
+                    * np.matmul(centroid[:, None], centroid[:, :, None])).ravel().tolist()
+            reflected = centroid + d
+            kept = []
+            for i in reflecting:
+                if near[i]:
+                    diff = simplex[i, 1:] - simplex[i, 0]
+                    if np.sqrt((diff * diff).sum(axis=1).max()) < TOL_X:
+                        end_leg(i, True)
+                        continue
+                kept.append(i)
+            reflecting = kept
+
+        parts = [reflected[reflecting]] if reflecting else []
+        owners = list(reflecting)
+        for i, _, points, _, _ in asks:
+            parts.append(points.reshape(-1, n))
+            owners.extend([i] * len(parts[-1]))
+        if not parts:
+            return results
+        out = evaluate(np.concatenate(parts) if len(parts) > 1 else parts[0], owners).tolist()
+
+        stepping, pending, asks = [], asks, []
+        for k, i in enumerate(reflecting):
+            fr = -out[k]
+            vals = values[i]
+            evals[i] += 1
+            if fr < vals[0]:
+                asks.append((i, _EXPAND, centroid[i] + 2.0 * d[i], reflected[i], fr))
+                evals[i] += 1
+            elif fr < vals[-2]:
+                insert(i, reflected[i], fr)
+                stepping.append(i)
+            else:
+                if fr < vals[-1]:
+                    point = centroid[i] + 0.5 * (reflected[i] - centroid[i])
+                    asks.append((i, _INSIDE, point, None, fr))
                 else:
-                    point = centroid - 0.5 * d  # c + (w - c) / 2, bit for bit
-                    f = -float((yield point[None])[0])
-                    accept = f < values[-1]
-                evals += 1
-                if not accept:
-                    simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
-                    shrunk = -np.asarray((yield simplex[1:]), dtype=float)
-                    evals += n
-                    simplex, values = _sorted(simplex, np.concatenate(([values[0]], shrunk)))
+                    point = centroid[i] - 0.5 * d[i]  # c + (w - c) / 2, bit for bit
+                    asks.append((i, _OUTSIDE, point, None, None))
+                evals[i] += 1
+        at = len(reflecting)
+        for i, request, points, reflected_point, fr in pending:
+            if request == _INIT or request == _SHRINK:
+                new = -np.asarray(out[at:at + len(points)])
+                at += len(points)
+                if request == _SHRINK:
+                    new = np.concatenate(([values[i][0]], new))
+                order = new.argsort(kind="stable")
+                simplex[i] = simplex[i][order]
+                values[i] = new[order].tolist()
+            else:
+                f = -out[at]
+                at += 1
+                if request == _EXPAND:
+                    insert(i, *((points, f) if f < fr else (reflected_point, fr)))
+                elif f <= fr if request == _INSIDE else f < values[i][-1]:
+                    insert(i, points, f)
+                else:
+                    s = simplex[i]
+                    s[1:] = s[0] + 0.5 * (s[1:] - s[0])
+                    asks.append((i, _SHRINK, s[1:], None, None))
+                    evals[i] += n
                     continue
-
-            # Replace the worst vertex: the stable sort puts the newcomer
-            # after every value it does not undercut, and ahead of the NaNs.
-            del values[-1]
-            finite = n
-            while finite and values[finite - 1] != values[finite - 1]:
-                finite -= 1
-            at = bisect_right(values, f, 0, finite) if f == f else n
-            values.insert(at, f)
-            if at < n:
-                simplex[at + 1:] = simplex[at:-1]
-            simplex[at] = point
-
-        total += evals
-        remaining -= evals
-        leg_best = -values[0]  # the sorted order puts the leg's best first, NaNs last
-        if best_objective is None or leg_best > best_objective:
-            best_params, best_objective = simplex[0].copy(), leg_best
-            best_converged = converged
-        if best_objective >= 1.0 - 1e-12:
-            break
-    return OptResult(
-        best_params=best_params,
-        best_objective=best_objective,
-        evaluations=total,
-        converged=best_converged,
-    )
-
-
-def _sorted(simplex, values):
-    """The vertices and their values (as a list) in stable-sorted order."""
-    order = values.argsort(kind="stable")
-    return simplex[order], values[order].tolist()
-
-
-def _lockstep(evaluate, searches) -> list[OptResult]:
-    """Step every search together; return their results in order.
-
-    Each round concatenates the points every unfinished search asked for
-    into one call ``evaluate(points, owners)``, where ``owners[r]`` is the
-    index of the search that asked for row r, and sends each search its
-    slice of the values as a list of floats. Every search asks for points
-    at least once. When ``evaluate`` scores each row on its own, a search's
-    trajectory does not depend on which others share the batch.
-    """
-    results = [None] * len(searches)
-    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
-    while pending:
-        owners = [i for i, _, points in pending for _ in range(len(points))]
-        values = evaluate(np.concatenate([points for _, _, points in pending]), owners).tolist()
-        asking, end = [], 0
-        for i, search, points in pending:
-            start, end = end, end + len(points)
-            try:
-                asking.append((i, search, search.send(values[start:end])))
-            except StopIteration as stop:
-                results[i] = stop.value
-        pending = asking
-    return results
+            stepping.append(i)
 
 
 @dataclass(frozen=True)
@@ -440,29 +493,32 @@ def sweep_channel_angle(
     Each angle in (0, pi/4] gets ``starts`` restart ladders of simplex runs,
     each with ``max_evals`` evaluations: one seeded at the Bell-measurement
     parameters and the rest at stratified random points.
-    All runs of all angles step in lockstep through one batched objective.
+    The runs of all angles share one array of simplexes and step in
+    lockstep, one batched objective call per round.
     Ties keep the earliest start. Rows come back sorted by angle and are
     bit-reproducible for a fixed seed and grid.
     """
     thetas = [float(t) for t in thetas]
+    if not thetas:
+        raise ValueError("need at least one theta")
     for t in thetas:
         if not 0.0 < t <= np.pi / 4.0 + 1e-12:
             raise ValueError(f"theta {t!r} outside (0, pi/4]")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    starts = _positive_int(starts, "starts")
+    max_evals = _positive_int(max_evals, "max_evals")
 
     order = np.argsort(thetas)
     objective = _PairObjective([angle_channel(thetas[i]) for i in order], chi1, chi2)
     theta_seeds = np.random.SeedSequence(seed).spawn(len(thetas))
-    searches = []
+    inits = []
     for idx in order:
         rng = np.random.default_rng(theta_seeds[idx])
-        start_points = [bbcjpw_equivalent_params()]
-        start_points.extend(stratified_starts(starts - 1, rng))
-        searches.extend(_simplex_search(p, max_evals, _RESTART_LADDER) for p in start_points)
+        inits.append(bbcjpw_equivalent_params()[None])
+        inits.append(stratified_starts(starts - 1, rng))
     channel_index = np.repeat(np.arange(len(order)), starts)
     results = _lockstep(
-        lambda points, owners: objective.evaluate(points, channel_index[owners]), searches
+        lambda points, owners: objective.evaluate(points, channel_index[owners]),
+        np.concatenate(inits), max_evals, _RESTART_LADDER,
     )
 
     rows = []

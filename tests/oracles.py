@@ -1,10 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written the slow, obvious way (index summation, closed
-forms, exhaustive sampling) so it shares no code path with the package.
+forms, exhaustive sampling) so it shares no code path with the package, or
+is an earlier version of a package function kept verbatim, so that a faster
+rewrite can be compared with it bit for bit.
 """
 
+from bisect import bisect_right
+
 import numpy as np
+
+from qteleport.optimize import N_ALICE_PARAMS, TOL_F, TOL_X, OptResult
 
 
 def naive_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,3 +263,262 @@ def general_density_check(rho, dim=None) -> np.ndarray:
             f"eigenvalue {lowest:.3e} below the -{PSD_CLAMP_TOL:.0e} clamp threshold"
         )
     return m
+
+
+# ---------------------------------------------------------------------------
+# The sweep's simplex search and batched objective as they were before the
+# search ran over arrays and the receiver factors came from one gather, kept
+# verbatim so the package's trajectories and values can be compared with
+# them bit for bit.
+
+# Row/column index pairs for the six independent off-diagonal entries of a
+# 4x4 Hermitian generator.
+_OFF_I, _OFF_J = np.triu_indices(4, 1)
+_DIAG = np.arange(4)
+
+
+def _hermitian_from_params(a: np.ndarray) -> np.ndarray:
+    h = np.zeros(a.shape[:-1] + (4, 4), dtype=np.complex128)
+    h[..., _DIAG, _DIAG] = a[..., :4]
+    off = a[..., 4::2] + 1j * a[..., 5::2]
+    h[..., _OFF_I, _OFF_J] = off
+    h[..., _OFF_J, _OFF_I] = off.conj()
+    return h
+
+
+def decode_alice_unitary(alice_params) -> np.ndarray:
+    """exp(iH) through the eigendecomposition of the Hermitian generator.
+
+    Takes one parameter vector of 16 or a stack of shape (..., 16).
+    """
+    h = _hermitian_from_params(np.asarray(alice_params, dtype=float))
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def decode_bob_unitaries(bob_params) -> np.ndarray:
+    """Axis-angle triples (..., 3) -> 2x2 special unitaries (..., 2, 2), smooth at zero."""
+    w = np.asarray(bob_params, dtype=float)
+    batch = w.shape[:-1]
+    w = w.reshape(-1, 3)
+    alpha = np.sqrt((w * w).sum(axis=1))
+    half = alpha / 2.0
+    # sin(alpha/2)/alpha, continued through alpha = 0
+    safe = np.maximum(alpha, 1e-300)
+    coeff = np.where(alpha > 1e-12, np.sin(half) / safe, 0.5)
+    out = np.empty((len(w), 2, 2), dtype=np.complex128)
+    cos = np.cos(half)
+    cz = coeff * w[:, 2]
+    cx = coeff * w[:, 0]
+    cy = coeff * w[:, 1]
+    out[:, 0, 0] = cos - 1j * cz
+    out[:, 1, 1] = cos + 1j * cz
+    out[:, 0, 1] = -cy - 1j * cx
+    out[:, 1, 0] = cy - 1j * cx
+    return out.reshape(batch + (2, 2))
+
+
+def receiver_factor(correction) -> np.ndarray:
+    """Receiver operator on (B, 2): route B into 2, then correct 2.
+
+    This is kron(I, U) @ SWAP, built by placement: U fills rows 0-1 at
+    columns 0, 2 and rows 2-3 at columns 1, 3. Takes one 2x2 U or a stack
+    of shape (..., 2, 2).
+    """
+    u = np.asarray(correction, dtype=np.complex128) + 0.0  # -0.0 (as in -1j) -> 0.0
+    out = np.zeros(u.shape[:-2] + (4, 4), dtype=np.complex128)
+    out[..., 0:2, 0::2] = u
+    out[..., 2:4, 1::2] = u
+    return out
+
+
+def _split_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sender unitaries (..., 4, 4) and receiver factors (..., 4, 4, 4) of
+    parameter vectors (..., 28).
+
+    The first 16 entries are the coefficients of the Hermitian generator H
+    in the orthogonal basis {E_ii; E_ij + E_ji; i(E_ij - E_ji)}: the four
+    diagonal ones, then one pair per i < j in row order. The sender measures
+    onto the columns of exp(iH). The last 12 are four axis-angle triples w,
+    one unitary exp(-i w.sigma/2) per measurement outcome, each routed
+    B -> 2 by ``receiver_factor``.
+    """
+    u = decode_alice_unitary(params[..., :N_ALICE_PARAMS])
+    bob = params[..., N_ALICE_PARAMS:].reshape(params.shape[:-1] + (4, 3))
+    return u, receiver_factor(decode_bob_unitaries(bob))
+
+
+def pair_objective_evaluate(self, points, channel_index) -> np.ndarray:
+    """Objective of each row of ``points`` (B, 28) on channel
+    ``channel_index[b]``; every row equals its own evaluation in a batch
+    of one, bit for bit."""
+    u, bstack = _split_params(np.asarray(points, dtype=float))
+    u_dag = u.conj().swapaxes(-1, -2)
+
+    # axes (state j, channel term k, row b, ...)
+    rows = u_dag @ self.v4[:, :, channel_index]     # row i: <c_i| V4
+    imgs = bstack @ rows[..., None]
+    m = (imgs.reshape(rows.shape[:3] + (4, 2, 2)) @ self._chi_conj).reshape(
+        rows.shape[:3] + (1, 8))
+    # this product form reproduces np.vdot(m, m) bit for bit; einsum or
+    # a sum of squares can differ by one ulp
+    terms = self.weights[channel_index].T * (m.conj() @ m.swapaxes(-1, -2))[..., 0, 0].real
+    fids = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        fids = fids + terms[:, k]
+    return np.maximum(np.fmin(np.fmin(1.0, fids[0]), fids[1]), 0.0)
+
+
+def _simplex_search(init, max_evals, ladder):
+    """A ladder of Nelder-Mead simplexes within one budget, as a generator.
+
+    ``ladder`` lists (initial step, budget share) legs; every leg after the
+    first restarts from the best point seen so far, and the ladder stops
+    early when the budget is gone or the objective has hit its ceiling of 1.
+    Yields each (k, n) array of points it needs (an initial simplex,
+    k = n + 1; a reflection, expansion or contraction, k = 1; a shrink,
+    k = n), receives their k objective values, and returns the OptResult of
+    the best leg, with the evaluations of all legs. Ties keep the earlier leg.
+
+    The vertices stay in the order a stable sort of their values gives,
+    NaNs last: a step that replaces only the worst vertex inserts its
+    successor where that sort would put it, and only the initial simplex
+    and a shrink are sorted whole.
+    """
+    best_params = np.asarray(init, dtype=float).reshape(-1)
+    n = best_params.size
+    if n < 1:
+        raise ValueError("need at least one parameter")
+    if max_evals < 1:
+        raise ValueError("max_evals must be >= 1")
+    # The step direction d = c - w, from the worst vertex w to the centroid
+    # c of the others, has ||d|| <= 2 * diameter, so ||d|| >= 4 * TOL_X
+    # shows the simplex too wide to converge without measuring it. The
+    # second term covers the rounding of c, at most about n * eps * ||c||.
+    far_sq = (4.0 * TOL_X) ** 2
+    rounding_sq = (4.0 * n * np.finfo(float).eps) ** 2
+
+    remaining = max_evals
+    total = 0
+    best_objective = None
+    for step, share in ladder:
+        if remaining <= 0:
+            break
+        budget = min(remaining, max(1, int(max_evals * share)))
+        # Each leg minimizes the negated objective.
+        simplex = np.tile(best_params, (n + 1, 1))
+        simplex[1:] += np.eye(n) * step
+        simplex, values = _sorted(simplex, -np.asarray((yield simplex), dtype=float))
+        evals = n + 1
+
+        converged = False
+        while evals < budget:
+            if values[-1] - values[0] < TOL_F:
+                converged = True
+                break
+            centroid = simplex[:-1].sum(axis=0) / n  # the mean, without its call overhead
+            d = centroid - simplex[-1]
+            if d.dot(d) < far_sq + rounding_sq * centroid.dot(centroid):
+                diff = simplex[1:] - simplex[0]
+                if np.sqrt((diff * diff).sum(axis=1).max()) < TOL_X:
+                    converged = True
+                    break
+
+            reflected = centroid + d
+            fr = -float((yield reflected[None])[0])
+            evals += 1
+            if fr < values[0]:
+                expanded = centroid + 2.0 * d
+                fe = -float((yield expanded[None])[0])
+                evals += 1
+                point, f = (expanded, fe) if fe < fr else (reflected, fr)
+            elif fr < values[-2]:
+                point, f = reflected, fr
+            else:
+                if fr < values[-1]:
+                    point = centroid + 0.5 * (reflected - centroid)
+                    f = -float((yield point[None])[0])
+                    accept = f <= fr
+                else:
+                    point = centroid - 0.5 * d  # c + (w - c) / 2, bit for bit
+                    f = -float((yield point[None])[0])
+                    accept = f < values[-1]
+                evals += 1
+                if not accept:
+                    simplex[1:] = simplex[0] + 0.5 * (simplex[1:] - simplex[0])
+                    shrunk = -np.asarray((yield simplex[1:]), dtype=float)
+                    evals += n
+                    simplex, values = _sorted(simplex, np.concatenate(([values[0]], shrunk)))
+                    continue
+
+            # Replace the worst vertex: the stable sort puts the newcomer
+            # after every value it does not undercut, and ahead of the NaNs.
+            del values[-1]
+            finite = n
+            while finite and values[finite - 1] != values[finite - 1]:
+                finite -= 1
+            at = bisect_right(values, f, 0, finite) if f == f else n
+            values.insert(at, f)
+            if at < n:
+                simplex[at + 1:] = simplex[at:-1]
+            simplex[at] = point
+
+        total += evals
+        remaining -= evals
+        leg_best = -values[0]  # the sorted order puts the leg's best first, NaNs last
+        if best_objective is None or leg_best > best_objective:
+            best_params, best_objective = simplex[0].copy(), leg_best
+            best_converged = converged
+        if best_objective >= 1.0 - 1e-12:
+            break
+    return OptResult(
+        best_params=best_params,
+        best_objective=best_objective,
+        evaluations=total,
+        converged=best_converged,
+    )
+
+
+def _sorted(simplex, values):
+    """The vertices and their values (as a list) in stable-sorted order."""
+    order = values.argsort(kind="stable")
+    return simplex[order], values[order].tolist()
+
+
+def _lockstep(evaluate, searches) -> list[OptResult]:
+    """Step every search together; return their results in order.
+
+    Each round concatenates the points every unfinished search asked for
+    into one call ``evaluate(points, owners)``, where ``owners[r]`` is the
+    index of the search that asked for row r, and sends each search its
+    slice of the values as a list of floats. Every search asks for points
+    at least once. When ``evaluate`` scores each row on its own, a search's
+    trajectory does not depend on which others share the batch.
+    """
+    results = [None] * len(searches)
+    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while pending:
+        owners = [i for i, _, points in pending for _ in range(len(points))]
+        values = evaluate(np.concatenate([points for _, _, points in pending]), owners).tolist()
+        asking, end = [], 0
+        for i, search, points in pending:
+            start, end = end, end + len(points)
+            try:
+                asking.append((i, search, search.send(values[start:end])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        pending = asking
+    return results
+
+
+def lockstep_reference(evaluate, inits, max_evals, ladder) -> list[OptResult]:
+    """The lockstep above over one ladder per row of ``inits``, called the way
+    the package's array-backed ``optimize._lockstep`` is."""
+    return _lockstep(evaluate, [_simplex_search(p, max_evals, ladder) for p in inits])
+
+
+def opt_result_key(result: OptResult) -> tuple:
+    """An OptResult as a tuple that compares bit for bit, NaN equal to NaN."""
+    objective = result.best_objective
+    return (result.best_params.tobytes(), "nan" if objective != objective else objective,
+            result.evaluations, result.converged)

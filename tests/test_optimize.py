@@ -10,11 +10,14 @@ import pytest
 from qteleport.cli import main
 from qteleport.channels import angle_channel, resource_channel, teleported_output, apply_protocol
 from qteleport.errors import DimensionError
+from qteleport import optimize
 from qteleport.optimize import (
     N_ALICE_PARAMS,
     N_PARAMS,
     OptResult,
     _PairObjective,
+    _lockstep,
+    _receiver_factors,
     bbcjpw_equivalent_params,
     decode_alice_unitary,
     decode_bob_unitaries,
@@ -31,7 +34,10 @@ from qteleport.states import (
 )
 from qteleport.teleport import bbcjpw_protocol, bell_states, run_teleport
 
+import oracles
+
 KET0 = np.array([1, 0], dtype=complex)
+KET1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 BELL = angle_channel(np.pi / 4)
 
@@ -191,6 +197,44 @@ def test_batched_objective_equals_scalar_call_bit_for_bit():
         assert batched.evaluate(point[None], [tag])[0] == value
 
 
+def _objective_oracle_rows(rng) -> np.ndarray:
+    """Seeded parameter rows with the edge cases of the decoders mixed in."""
+    points = rng.uniform(-np.pi, np.pi, (20000, N_PARAMS))
+    points[0] = bbcjpw_equivalent_params()
+    points[1] = 0.0
+    points[2] = -0.0
+    # scattered -0.0, tiny and large entries
+    mask = rng.random(points.shape) < 0.05
+    points[mask] = rng.choice([0.0, -0.0, 1e-13, -1e-13, 1e6, -1e6 + 0.25], mask.sum())
+    # axis-angle triples with alpha = 0 and 0 < alpha <= 1e-12
+    tiny = [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-12, 0.0, 0.0], [3e-13, -4e-13, 0.0],
+            [-5e-13, 5e-13, 5e-13], [1e-300, 0.0, 0.0]]
+    for b in range(3, 3000):
+        k = b % 4
+        points[b, N_ALICE_PARAMS + 3 * k:N_ALICE_PARAMS + 3 * k + 3] = tiny[b % len(tiny)]
+    return points
+
+
+def test_objective_equals_the_previous_evaluate_bit_for_bit():
+    # four angle channels plus a full-rank channel, against the evaluate
+    # (and decoders) the one-gather receiver factors replaced
+    rng = np.random.default_rng(90)
+    channels = [angle_channel(t) for t in (np.pi / 16, np.pi / 8, 3 * np.pi / 16, np.pi / 4)]
+    channels.append(resource_channel(random_density_matrix(4, rng)))
+    objective = _PairObjective(channels, KET0, PLUS)
+    points = _objective_oracle_rows(rng)
+    tags = rng.integers(0, len(channels), len(points))
+    want = oracles.pair_objective_evaluate(objective, points, tags)
+    assert objective.evaluate(points, tags).tobytes() == want.tobytes()
+
+
+def test_receiver_factors_equal_routed_unitaries_bit_for_bit():
+    w = _objective_oracle_rows(np.random.default_rng(91))[:, N_ALICE_PARAMS:].reshape(-1, 4, 3)
+    want = oracles.receiver_factor(oracles.decode_bob_unitaries(w))
+    assert _receiver_factors(w).tobytes() == want.tobytes()
+    assert _receiver_factors(w[7, 2]).tobytes() == want[7, 2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Nelder-Mead
 
@@ -272,11 +316,96 @@ def test_nelder_mead_budget_exhaustion_flags_not_converged():
     assert result.evaluations <= 30 + 10  # allowed to finish the current step
 
 
+def _egg_crate(x):
+    """Maxima on a lattice of pitch 0.1: the first outside contraction from
+    a simplex of lattice points lands between them and is rejected."""
+    return -0.1 * float(np.abs(x / 0.1 - np.round(x / 0.1)).sum()) - 0.01 * float(x @ x)
+
+
+def _kink(x):
+    return -float(np.abs(x - np.array([0.3, -0.2, 0.7])).sum())
+
+
+def _rows_per_owner(batches):
+    return [sorted({o: owners.count(o) for o in owners}.items()) for owners in batches]
+
+
+def _recording(objectives, batches):
+    def evaluate(points, owners):
+        batches.append(list(owners))
+        return np.array([objectives[o](x) for x, o in zip(points, owners)])
+    return evaluate
+
+
+def test_nelder_mead_shrink_follows_the_reference():
+    ladder = ((0.1, 1.0),)
+    batches = []
+    got = _lockstep(_recording([_egg_crate], batches), np.zeros((1, 3)), 400, ladder)
+    assert [(0, 3)] in _rows_per_owner(batches[1:])  # n rows after the initial simplex: a shrink
+    want = oracles.lockstep_reference(_recording([_egg_crate], []), np.zeros((1, 3)), 400, ladder)
+    assert [oracles.opt_result_key(r) for r in got] == [oracles.opt_result_key(r) for r in want]
+    assert oracles.opt_result_key(nelder_mead(_egg_crate, np.zeros(3), max_evals=400)) == (
+        oracles.opt_result_key(want[0]))
+
+
+def test_lockstep_shrink_and_diameter_exit_follow_the_reference(monkeypatch):
+    # With the objective-spread exit switched off, converged=True can only
+    # come from the diameter exit.
+    monkeypatch.setattr(optimize, "TOL_F", -np.inf)
+    monkeypatch.setattr(oracles, "TOL_F", -np.inf)
+    objectives = [_egg_crate, _kink, lambda x: -float((x - 0.5) @ (x - 0.5))]
+    inits = np.zeros((3, 3))
+    batches = []
+    got = _lockstep(_recording(objectives, batches), inits, 3000, optimize._RESTART_LADDER)
+    want = oracles.lockstep_reference(_recording(objectives, []), inits, 3000,
+                                      optimize._RESTART_LADDER)
+    assert any((0, 3) in counts for counts in _rows_per_owner(batches[1:]))
+    assert got[1].converged is True
+    assert [oracles.opt_result_key(r) for r in got] == [oracles.opt_result_key(r) for r in want]
+    # the same diameter exit through nelder_mead
+    [leg] = oracles.lockstep_reference(_recording([_kink], []), np.zeros((1, 3)), 20000,
+                                       ((0.1, 1.0),))
+    result = nelder_mead(_kink, np.zeros(3))
+    assert result.converged is True
+    assert oracles.opt_result_key(result) == oracles.opt_result_key(leg)
+
+
 def test_max_evals_below_one_rejected():
     with pytest.raises(ValueError, match="max_evals must be >= 1"):
         nelder_mead(lambda x: 0.0, np.zeros(3), max_evals=0)
     with pytest.raises(ValueError, match="max_evals must be >= 1"):
         sweep_channel_angle([np.pi / 4], KET0, PLUS, starts=1, max_evals=0)
+
+
+def _never_called(x):
+    raise AssertionError("the objective ran before the arguments were checked")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: sweep_channel_angle([], KET0, KET1, starts=1), ValueError, "at least one theta"),
+    (lambda: sweep_channel_angle([np.pi / 4], KET0, KET1, starts=1.5), TypeError,
+     "starts must be an integer"),
+    (lambda: sweep_channel_angle([np.pi / 4], KET0, KET1, starts=True), TypeError,
+     "starts must be an integer"),
+    (lambda: sweep_channel_angle([np.pi / 4], KET0, KET1, starts=1, max_evals=2.5), TypeError,
+     "max_evals must be an integer"),
+    (lambda: nelder_mead(_never_called, np.zeros(3), max_evals=2.5), TypeError,
+     "max_evals must be an integer"),
+    (lambda: nelder_mead(_never_called, np.zeros(3), max_evals=False), TypeError,
+     "max_evals must be an integer"),
+], ids=["empty-thetas", "fractional-starts", "bool-starts", "fractional-max-evals",
+        "nelder-mead-fractional-max-evals", "nelder-mead-bool-max-evals"])
+def test_bad_counts_rejected_before_any_work(call, error, message):
+    # KET0, KET1 is an orthogonal pair: had the sweep built its objective
+    # first, it would have raised about the pair instead
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_integer_counts_of_any_integer_type_accepted():
+    row, = sweep_channel_angle([np.pi / 4], KET0, PLUS, starts=np.int64(1),
+                               max_evals=np.int64(500))
+    assert row == sweep_channel_angle([np.pi / 4], KET0, PLUS, starts=1, max_evals=500)[0]
 
 
 def test_nelder_mead_best_objective_reproducible():

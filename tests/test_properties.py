@@ -1,6 +1,6 @@
 """Invariants of the Kraus kernel, the entanglement measures, the chord
-decomposition, the qubit fidelity and the qubit density check, checked over
-generated seeds."""
+decomposition, the qubit fidelity, the qubit density check and the simplex
+lockstep, checked over generated seeds."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from qteleport.channels import (
 )
 from qteleport.entanglement import concurrence, entanglement_of_formation, fully_entangled_fraction
 from qteleport.linalg import frobenius, kron
+from qteleport.optimize import _RESTART_LADDER, _lockstep
 from qteleport.states import (
     _clearly_valid_qubit,
     check_density_matrix,
@@ -30,7 +31,7 @@ from qteleport.states import (
     state_fidelity,
 )
 
-from oracles import general_density_check, uhlmann_fidelity
+from oracles import general_density_check, lockstep_reference, opt_result_key, uhlmann_fidelity
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 FACTOR_DIMS = st.sampled_from([2, 4])
@@ -231,3 +232,44 @@ def test_qubit_check_on_negative_zero_entries(name):
     m = np.array(NEGATIVE_ZEROS[name])
     assert_same_verdict(m)
     assert _clearly_valid_qubit(m)
+
+
+# ---------------------------------------------------------------------------
+# the array-backed simplex lockstep against the generator lockstep it replaced
+
+
+def _egg_crate(x, c, x0):
+    """Maxima on a lattice of pitch 0.1 around c: rejected contractions shrink."""
+    y = (x - c) / 0.1
+    return -0.1 * float(np.abs(y - np.round(y)).sum()) - 0.01 * float((x - c) @ (x - c))
+
+
+# Each takes a point x, the start's own center c and its initial point x0.
+LOCKSTEP_OBJECTIVES = {
+    "quadratic": lambda x, c, x0: -float((x - c) @ (x - c)),
+    "constant": lambda x, c, x0: 3.25,  # the objective-spread exit
+    # NaN at every initial vertex but x0, so finite newcomers land ahead of NaNs
+    "nan-region": lambda x, c, x0: (np.nan if (x - x0).sum() > 0.05
+                                    else -float((x - c) @ (x - c))),
+    "ceiling": lambda x, c, x0: min(1.0, 1.5 - float((x - c) @ (x - c))),  # stops the ladder
+    "kink": lambda x, c, x0: -float(np.abs(x - c).sum()),  # the diameter exit
+    "egg-crate": _egg_crate,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 6), budget=st.integers(1, 400),
+       ladder=st.sampled_from([_RESTART_LADDER, ((0.1, 1.0),)]),
+       kinds=st.lists(st.sampled_from(sorted(LOCKSTEP_OBJECTIVES)), min_size=1, max_size=5))
+def test_lockstep_follows_the_generator_lockstep(seed, n, budget, ladder, kinds):
+    rng = np.random.default_rng(seed)
+    inits = rng.uniform(-1.0, 1.0, (len(kinds), n))
+    centers = rng.uniform(-1.0, 1.0, (len(kinds), n))
+
+    def evaluate(points, owners):
+        return np.array([LOCKSTEP_OBJECTIVES[kinds[o]](x, centers[o], inits[o])
+                         for x, o in zip(points, owners)])
+
+    want = lockstep_reference(evaluate, inits, budget, ladder)
+    got = _lockstep(evaluate, inits, budget, ladder)
+    assert [opt_result_key(r) for r in got] == [opt_result_key(r) for r in want]
