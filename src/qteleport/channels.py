@@ -93,8 +93,7 @@ def require_complete(p: LocalKrausProtocol) -> None:
     if not residual <= COMPLETENESS_TOL:  # a NaN residual fails too
         raise IncompleteProtocolError(
             f"Kraus pairs do not resolve the identity "
-            f"(residual {residual:.3e} > {COMPLETENESS_TOL:.0e})",
-            residual=residual,
+            f"(residual {residual:.3e} > {COMPLETENESS_TOL:.0e})"
         )
 
 
@@ -220,15 +219,14 @@ class Dilation:
     env_dim: int
 
     def apply(self, rho) -> np.ndarray:
-        """Conjugate (rho (x) |0><0|_E) by u and trace out the environment."""
+        """Conjugate rho by the |0>_E columns u0 of u, the only ones that meet
+        rho (x) |0><0|_E, and trace out the environment."""
         rho = np.asarray(rho, dtype=np.complex128)
         d = self.u.shape[0] // self.env_dim
         if rho.shape != (d, d):
             raise DimensionError(f"expected a system state of dim {d}, got {rho.shape}")
-        env0 = np.zeros((self.env_dim, self.env_dim), dtype=np.complex128)
-        env0[0, 0] = 1.0
-        lifted = self.u @ kron(rho, env0) @ dagger(self.u)
-        return partial_trace(lifted, [d, self.env_dim], keep={0})
+        u0 = self.u[:, ::self.env_dim]
+        return partial_trace(u0 @ rho @ dagger(u0), [d, self.env_dim], keep={0})
 
 
 def dilate(p: LocalKrausProtocol) -> Dilation:

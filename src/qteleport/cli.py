@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except CommutingInputError as exc:
         print(f"error: {exc} (commutator norm {exc.commutator_norm:.17g})", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,3 @@ class DegenerateChordError(ValueError):
 
 class IncompleteProtocolError(ValueError):
     """Kraus pairs do not resolve the identity within tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual

@@ -10,12 +10,6 @@ import json
 import numpy as np
 
 
-def format_float(x: float) -> str:
-    if isinstance(x, float) and (x != x or x in (float("inf"), float("-inf"))):
-        raise ValueError("non-finite float cannot be serialized")
-    return "%.17g" % float(x)
-
-
 def complex_pair(z) -> list:
     """Complex number as a [re, im] pair of floats."""
     z = complex(z)
@@ -53,7 +47,9 @@ def dumps(obj) -> str:
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, (float, np.floating)):
-            return format_float(float(o))
+            if not np.isfinite(o):
+                raise ValueError("non-finite float cannot be serialized")
+            return "%.17g" % float(o)
         if isinstance(o, str):
             return json.dumps(o)
         raise TypeError(f"cannot serialize {type(o).__name__}")

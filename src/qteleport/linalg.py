@@ -54,15 +54,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a), "fro"))
 
 
-def hermiticity_defect(h: np.ndarray) -> float:
-    """Relative Frobenius distance of ``h`` from its own adjoint."""
-    h = np.asarray(h)
-    scale = frobenius(h)
-    if scale == 0.0:
-        return 0.0
-    return frobenius(h - dagger(h)) / scale
-
-
 def partial_trace(rho: np.ndarray, dims: list[int], keep) -> np.ndarray:
     """Trace out every subsystem of ``rho`` not listed in ``keep``.
 
@@ -132,7 +123,8 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = as_operator(h)
     if h.shape[0] != h.shape[1]:
         raise DimensionError(f"eigendecomposition needs a square matrix, got {h.shape}")
-    defect = hermiticity_defect(h)
+    scale = frobenius(h)
+    defect = frobenius(h - dagger(h)) / scale if scale else 0.0
     if defect > HERMITIAN_RTOL:
         raise NonHermitianError(
             f"matrix is not Hermitian (relative defect {defect:.3e} > {HERMITIAN_RTOL:.0e})"

@@ -37,6 +37,7 @@ from .entanglement import entropy_of_entanglement
 from .errors import DimensionError
 from .linalg import eig_hermitian
 from .states import check_density_matrix, check_nonorthogonal_pair
+from .teleport import receiver_factor
 
 N_ALICE_PARAMS = 16
 N_BOB_PARAMS = 12
@@ -66,17 +67,14 @@ def decode_alice_unitary(alice_params) -> np.ndarray:
     return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-# A receiver factor kron(I, U) @ SWAP, with U = exp(-i w.sigma/2) =
-# [[cos - i cz, -cy - i cx], [cy - i cx, cos + i cz]] in rows 0-1 at columns
-# 0, 2 and in rows 2-3 at columns 1, 3, as its 32 floats (real, imaginary
-# interleaved): each an index into the columns [cos, cx, cy, cz, -cx, -cy,
-# -cz, 0].
-_FACTOR_SLOTS = np.array([
-    0, 6, 7, 7, 5, 4, 7, 7,
-    2, 4, 7, 7, 0, 3, 7, 7,
-    7, 7, 0, 6, 7, 7, 5, 4,
-    7, 7, 2, 4, 7, 7, 0, 3,
-])
+# U = exp(-i w.sigma/2) = [[cos - i cz, -cy - i cx], [cy - i cx, cos + i cz]]
+# as its 8 floats (real, imaginary interleaved), each an index into the
+# columns [cos, cx, cy, cz, -cx, -cy, -cz, 0], then the zero column.
+_U_SLOTS = np.array([0, 6, 5, 4, 2, 4, 0, 3, 7])
+# The 32 floats of receiver_factor(U) as such indices: placing U's floats
+# numbered 1-8 shows where each lands, and an empty slot reads -1, the last.
+_FACTOR_SLOTS = _U_SLOTS[receiver_factor(np.arange(1.0, 9.0).view(np.complex128).reshape(2, 2))
+                         .view(float).astype(int).ravel() - 1]
 
 
 def _receiver_factors(bob_params) -> np.ndarray:
@@ -124,6 +122,8 @@ def _split_params(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _checked_params(params) -> np.ndarray:
     """``params`` as a finite (28,) float vector, or DimensionError/ValueError."""
+    if np.iscomplexobj(params):
+        raise ValueError("protocol parameters must be real")
     vec = np.asarray(params, dtype=float)
     if vec.shape != (N_PARAMS,):
         raise DimensionError(f"expected {N_PARAMS} parameters, got shape {vec.shape}")
@@ -268,8 +268,9 @@ def _positive_int(value, name: str) -> int:
     return int(value)
 
 
-# Requests a start can have pending besides a reflection.
-_INIT, _EXPAND, _INSIDE, _OUTSIDE, _SHRINK = range(5)
+# Requests a start can have pending besides a reflection; the contractions
+# are named as in Lagarias et al., SIAM J. Optim. 9, 112 (1998).
+_INIT, _EXPAND, _OUTSIDE, _INSIDE, _SHRINK = range(5)
 
 
 def _lockstep(evaluate, inits, max_evals, ladder) -> list[OptResult]:
@@ -403,10 +404,10 @@ def _lockstep(evaluate, inits, max_evals, ladder) -> list[OptResult]:
             else:
                 if fr < vals[-1]:
                     point = centroid[i] + 0.5 * (reflected[i] - centroid[i])
-                    asks.append((i, _INSIDE, point, None, fr))
+                    asks.append((i, _OUTSIDE, point, None, fr))
                 else:
                     point = centroid[i] - 0.5 * d[i]  # c + (w - c) / 2, bit for bit
-                    asks.append((i, _OUTSIDE, point, None, None))
+                    asks.append((i, _INSIDE, point, None, None))
                 evals[i] += 1
         at = len(reflecting)
         for i, request, points, reflected_point, fr in pending:
@@ -423,7 +424,7 @@ def _lockstep(evaluate, inits, max_evals, ladder) -> list[OptResult]:
                 at += 1
                 if request == _EXPAND:
                     insert(i, *((points, f) if f < fr else (reflected_point, fr)))
-                elif f <= fr if request == _INSIDE else f < values[i][-1]:
+                elif f <= fr if request == _OUTSIDE else f < values[i][-1]:
                     insert(i, points, f)
                 else:
                     s = simplex[i]
@@ -435,22 +436,14 @@ def _lockstep(evaluate, inits, max_evals, ladder) -> list[OptResult]:
 
 
 @dataclass(frozen=True)
-class StartRecord:
-    """What one start of a sweep angle spent and found."""
-
-    evaluations: int
-    converged: bool
-    best_objective: float
-
-
-@dataclass(frozen=True)
 class SweepRow:
     """One resource angle of the sweep, with the winning protocol kept.
 
     ``best_params`` is the winning (28,) vector; ``decode_protocol`` turns
-    it into the protocol. ``start_records`` holds one record per start,
-    Bell start first; it is diagnostic only and left out of repr. Rows are
-    equal when every field is, ``best_params`` by value.
+    it into the protocol. ``start_records`` holds each start's OptResult,
+    Bell start first, so any start replays through ``pair_objective``; it is
+    diagnostic only and left out of repr. Rows are equal when every field
+    is, parameter vectors by value.
     """
 
     theta: float
@@ -459,11 +452,13 @@ class SweepRow:
     starts: int
     evaluations: int
     best_params: np.ndarray
-    start_records: tuple[StartRecord, ...] = field(default=(), repr=False)
+    start_records: tuple[OptResult, ...] = field(default=(), repr=False)
 
     def _key(self) -> tuple:
+        records = tuple((r.best_params.tobytes(), r.best_objective, r.evaluations, r.converged)
+                        for r in self.start_records)
         return (self.theta, self.channel_entropy, self.best_min_fidelity, self.starts,
-                self.evaluations, tuple(self.best_params.tolist()), self.start_records)
+                self.evaluations, tuple(self.best_params.tolist()), records)
 
     def __eq__(self, other):
         if not isinstance(other, SweepRow):
@@ -534,9 +529,7 @@ def sweep_channel_angle(
                 starts=starts,
                 evaluations=sum(r.evaluations for r in runs),
                 best_params=best.best_params,
-                start_records=tuple(
-                    StartRecord(r.evaluations, r.converged, r.best_objective) for r in runs
-                ),
+                start_records=tuple(runs),
             )
         )
     return rows

@@ -142,6 +142,8 @@ def _bloch(m: np.ndarray) -> np.ndarray:
 
 def density_from_bloch(r) -> np.ndarray:
     """rho = (I + r.sigma)/2 for a Bloch vector inside the unit ball."""
+    if np.iscomplexobj(r):
+        raise ValueError("Bloch vector must be real")
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.size != 3:
         raise DimensionError(f"Bloch vector needs 3 components, got {r.size}")
@@ -157,6 +159,8 @@ def density_from_bloch(r) -> np.ndarray:
 
 def pure_state_from_bloch(r) -> np.ndarray:
     """Unit-sphere Bloch vector -> state vector, phase-fixed."""
+    if np.iscomplexobj(r):
+        raise ValueError("Bloch vector must be real")
     r = np.asarray(r, dtype=float)
     if abs(np.linalg.norm(r) - 1.0) > 1e-9:
         raise ValueError("Bloch vector must lie on the unit sphere for a pure state")

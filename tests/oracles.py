@@ -10,6 +10,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from qteleport.linalg import dagger, kron, partial_trace
 from qteleport.optimize import N_ALICE_PARAMS, TOL_F, TOL_X, OptResult
 
 
@@ -77,6 +78,17 @@ def kraus_loop(kraus, rho: np.ndarray) -> np.ndarray:
     for k in kraus:
         out += k @ rho @ k.conj().T
     return out
+
+
+def lifted_dilation_apply(dilation, rho) -> np.ndarray:
+    """The earlier ``Dilation.apply``: conjugate rho (x) |0><0|_E by the whole
+    of u, then trace out the environment."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    d = dilation.u.shape[0] // dilation.env_dim
+    env0 = np.zeros((dilation.env_dim, dilation.env_dim), dtype=np.complex128)
+    env0[0, 0] = 1.0
+    lifted = dilation.u @ kron(rho, env0) @ dagger(dilation.u)
+    return partial_trace(lifted, [d, dilation.env_dim], keep={0})
 
 
 def qubit_eigvals_charpoly(rho: np.ndarray) -> np.ndarray:

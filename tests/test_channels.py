@@ -28,7 +28,7 @@ from qteleport.states import (
 )
 from qteleport.teleport import bbcjpw_protocol, classical_commuting_protocol, product_channel
 
-from oracles import kraus_loop
+from oracles import kraus_loop, lifted_dilation_apply
 
 I2 = np.eye(2, dtype=complex)
 
@@ -238,6 +238,21 @@ def test_dilate_matches_kraus_dozens():
         for _ in range(3):
             rho = random_density_matrix(4, rng)
             assert frobenius(dil.apply(rho) - apply_kraus(p, rho)) < 1e-9
+
+
+def test_dilation_apply_equals_lifted_conjugation_bit_for_bit():
+    # rho (x) |0><0|_E meets only the |0>_E columns of u, so conjugating by
+    # those columns alone must give the lifted product's every bit
+    rng = np.random.default_rng(56)
+    protocols = [bbcjpw_protocol(), classical_commuting_protocol(np.eye(2, dtype=complex))]
+    for n_pairs in range(1, 6):
+        for dims in ((2, 2), (2, 4), (4, 2), (4, 4)):
+            protocols.append(random_local_protocol(rng, *dims, n_pairs=n_pairs))
+    for p in protocols:
+        dil = dilate(p)
+        for _ in range(2):
+            rho = random_density_matrix(p.alice_dim * p.bob_dim, rng)
+            assert dil.apply(rho).tobytes() == lifted_dilation_apply(dil, rho).tobytes()
 
 
 def test_dilate_rejects_incomplete():

@@ -363,6 +363,9 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
           "--bloch2=0.81034740613072,-0.1771026139498519,0.5585443093518577"], None, None),
         (_TELEPORT_FILE, None, {"alice_dim": 4, "bob_dim": 4, "pairs": [
             {"a": matrix_to_pairs(1e200 * np.eye(4)), "b": matrix_to_pairs(np.eye(4))}]}),
+        # the first array of 10**15 starts needs petabytes, beyond any 47-bit
+        # address space, so its allocation fails at once
+        (["sweep", "--thetas", "pi/4", "--starts", str(10**15)], None, None),
     ],
     ids=["angle-pi-over-0", "env-seed-not-int", "protocol-no-pairs", "protocol-pair-no-b",
          "protocol-pair-not-matrix", "negative-probes", "sweep-orthogonal-pair",
@@ -373,7 +376,8 @@ _TELEPORT_FILE = ["teleport", "--input", "0,0,1", "--protocol"]
          "teleport-basis-without-classical", "dilate-basis-without-classical",
          "ket-entry-overflow", "bloch-entry-overflow", "matrix-entry-overflow",
          "protocol-dim-null", "protocol-dim-list", "protocol-dim-overflow",
-         "protocol-pairs-number", "decompose-coincident-pure", "protocol-factor-overflow"],
+         "protocol-pairs-number", "decompose-coincident-pure", "protocol-factor-overflow",
+         "sweep-starts-unallocatable"],
 )
 def test_malformed_input_exits_2_without_traceback(
     capsys, monkeypatch, tmp_path, argv, env_seed, json_doc

@@ -108,6 +108,23 @@ def test_decode_rejects_non_finite():
             pair_objective(bad, BELL, KET0, PLUS)
 
 
+def _complex_bell_params():
+    # casting to float would drop the 1j and leave the Bell protocol
+    params = bbcjpw_equivalent_params().astype(complex)
+    params[20] += 1j
+    return params
+
+
+def test_decode_rejects_complex_params():
+    with pytest.raises(ValueError, match="real"):
+        decode_protocol(_complex_bell_params())
+
+
+def test_pair_objective_rejects_complex_params():
+    with pytest.raises(ValueError, match="real"):
+        pair_objective(_complex_bell_params(), BELL, KET0, PLUS)
+
+
 def test_bbcjpw_equivalent_params_match_protocol_action():
     decoded = decode_protocol(bbcjpw_equivalent_params())
     reference = bbcjpw_protocol()
@@ -226,6 +243,16 @@ def test_objective_equals_the_previous_evaluate_bit_for_bit():
     tags = rng.integers(0, len(channels), len(points))
     want = oracles.pair_objective_evaluate(objective, points, tags)
     assert objective.evaluate(points, tags).tobytes() == want.tobytes()
+
+
+def test_factor_slots_derived_from_receiver_factor_keep_their_entries():
+    # the table as it stood when written out by hand
+    assert optimize._FACTOR_SLOTS.tolist() == [
+        0, 6, 7, 7, 5, 4, 7, 7,
+        2, 4, 7, 7, 0, 3, 7, 7,
+        7, 7, 0, 6, 7, 7, 5, 4,
+        7, 7, 2, 4, 7, 7, 0, 3,
+    ]
 
 
 def test_receiver_factors_equal_routed_unitaries_bit_for_bit():
@@ -443,7 +470,8 @@ def test_sweep_rows_pinned_bit_for_bit():
         "d4cf3919e542a51c606e9805d76c22627d7b23175327cf4bcc4f4396cb752eec",
         "6a59911301362fc1344d5b36d9ae72dd8095370b3b07ef64bcebce0fb8c00f79",
     ]
-    assert [[dataclasses.astuple(s) for s in r.start_records] for r in rows] == [
+    assert [[(s.evaluations, s.converged, s.best_objective) for s in r.start_records]
+            for r in rows] == [
         [(2000, False, 0.9676359849745843), (2000, False, 0.9508107398563724),
          (2000, False, 0.9569324600840081)],
         [(2000, False, 0.9912338202404989), (2000, False, 0.9557185072098322),
@@ -466,7 +494,8 @@ def test_sweep_row_independent_of_batch_composition():
         assert row.best_min_fidelity == alone.best_min_fidelity
         assert row.evaluations == alone.evaluations
         assert np.array_equal(row.best_params, alone.best_params)
-        assert row.start_records == alone.start_records
+        key = oracles.opt_result_key
+        assert list(map(key, row.start_records)) == list(map(key, alone.start_records))
 
 
 def test_sweep_start_records_show_budget_use():
@@ -478,6 +507,18 @@ def test_sweep_start_records_show_budget_use():
     for record in row.start_records[1:]:  # the stratified starts
         assert record.converged is False
         assert record.evaluations >= max_evals
+
+
+def test_sweep_start_records_replay_exactly():
+    # each start keeps its best point, and the one-row objective scores it
+    # exactly as the batched sweep did
+    rows = sweep_channel_angle([np.pi / 8, np.pi / 16], KET0, PLUS, starts=3, seed=3,
+                               max_evals=400)
+    for row in rows:
+        channel = angle_channel(row.theta)
+        assert len(row.start_records) == 3
+        for r in row.start_records:
+            assert pair_objective(r.best_params, channel, KET0, PLUS) == r.best_objective
 
 
 def test_sweep_rejects_bad_theta():

@@ -71,6 +71,17 @@ def test_bloch_rejects_outside_ball():
         density_from_bloch([1.0, 1.0, 0.0])
 
 
+def test_density_from_bloch_rejects_complex_vector():
+    # casting would keep only the real part, the maximally mixed state
+    with pytest.raises(ValueError, match="real"):
+        density_from_bloch(np.array([0, 0, 0.5j]))
+
+
+def test_pure_state_from_bloch_rejects_complex_vector():
+    with pytest.raises(ValueError, match="real"):
+        pure_state_from_bloch(np.array([0, 0, 1 + 0.5j]))
+
+
 def test_bloch_from_density_rejects_wrong_dim():
     with pytest.raises(DimensionError):
         bloch_from_density(np.eye(4, dtype=complex) / 4)
